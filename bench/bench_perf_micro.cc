@@ -352,11 +352,13 @@ struct ArtifactFixture {
     PRIVREC_CHECK_MSG(built.ok(), "artifact build failed");
     model = std::move(*built);
     path = (std::filesystem::temp_directory_path() /
-            "privrec_bench_model.pvra")
+            "privrec_bench_model.pvram")
                .string();
     Status saved = serving::SaveArtifact(model, path);
     PRIVREC_CHECK_MSG(saved.ok(), "artifact save failed");
-    bytes = static_cast<int64_t>(std::filesystem::file_size(path));
+    auto mapped = serving::MappedArtifact::Open(path, {});
+    PRIVREC_CHECK_MSG(mapped.ok(), "artifact open failed");
+    bytes = static_cast<int64_t>((*mapped)->total_bytes());
   }
 
   serving::ArtifactModel model;
@@ -371,12 +373,15 @@ ArtifactFixture& SharedArtifactFixture() {
 
 void BM_ArtifactSave(benchmark::State& state) {
   ArtifactFixture& f = SharedArtifactFixture();
-  const std::string path = f.path + ".save_bench";
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "privrec_bench_save";
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "model.pvram").string();
   for (auto _ : state) {
     Status saved = serving::SaveArtifact(f.model, path);
     benchmark::DoNotOptimize(saved.ok());
   }
-  std::filesystem::remove(path);
+  std::filesystem::remove_all(dir);
   state.SetBytesProcessed(state.iterations() * f.bytes);
 }
 BENCHMARK(BM_ArtifactSave);

@@ -20,8 +20,8 @@
 //                      [--load-wall --load-threads=4]
 //                      [--serve-max-concurrency=4 --serve-queue-depth=8 ...]
 //                      [--scratch-dir=serve-load-scratch]
-//                      [--load-shards=K]   # serve sharded .pvram artifacts
-//                                          # through the mmap zero-copy path
+//                      [--load-shards=K]   # shards per artifact (default
+//                                          # 1), served through mmap
 //                      [--telemetry-jsonl=PATH      # wide-event stream
 //                       --telemetry-sample-every=16 --telemetry-slow-ms=100
 //                       --telemetry-window-ms=250
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "artifact/builder.h"
-#include "artifact/model_io.h"
 #include "artifact/shard_layout.h"
 #include "common/driver_flags.h"
 #include "common/flags.h"
@@ -90,8 +89,13 @@ int main(int argc, char** argv) {
   const TelemetryFlagSettings tel_settings = ApplyTelemetryFlags(flags);
   const std::string scratch =
       flags.GetString("scratch-dir", "serve-load-scratch");
-  const int64_t load_shards = flags.GetInt("load-shards", 0);
+  const int64_t load_shards = flags.GetInt("load-shards", 1);
   if (!flags.Validate()) return 1;
+  if (load_shards < 1) {
+    std::fprintf(stderr, "--load-shards must be >= 1 (got %lld)\n",
+                 static_cast<long long>(load_shards));
+    return 1;
+  }
 
   // ---- Offline side: build the artifact generations the run swaps over.
   fs::remove_all(scratch);
@@ -117,17 +121,9 @@ int main(int argc, char** argv) {
                    model.status().ToString().c_str());
       return "";
     }
-    // With --load-shards the generations are sharded .pvram sets and the
-    // runtime serves them through the mmap zero-copy path; the rest of
-    // the harness is identical (Activate and the oracle both sniff).
-    const std::string path =
-        (fs::path(scratch) / (name + (load_shards > 0 ? ".pvram" : ".pvra")))
-            .string();
+    const std::string path = (fs::path(scratch) / (name + ".pvram")).string();
     Status saved =
-        load_shards > 0
-            ? serving::SaveShardedArtifact(*model, path,
-                                           {.shards = load_shards})
-            : serving::SaveArtifact(*model, path);
+        serving::SaveShardedArtifact(*model, path, {.shards = load_shards});
     if (!saved.ok()) {
       std::fprintf(stderr, "artifact save failed: %s\n",
                    saved.ToString().c_str());
@@ -147,8 +143,8 @@ int main(int argc, char** argv) {
   storm.good = {good_a, good_b};
   if (load_settings.swap_storm) {
     const std::string bitflip =
-        (fs::path(scratch) / "bitflip.pvra").string();
-    const std::string trunc = (fs::path(scratch) / "trunc.pvra").string();
+        (fs::path(scratch) / "bitflip.pvram").string();
+    const std::string trunc = (fs::path(scratch) / "trunc.pvram").string();
     std::string bytes = ReadAllBytes(good_a);
     if (bytes.size() < 400) {
       std::fprintf(stderr, "artifact unexpectedly small\n");

@@ -79,12 +79,14 @@ if nm --defined-only build-noobs/src/obs/libprivrec_obs.a 2>/dev/null \
 fi
 echo "no-obs symbol check: clean (metrics registry and tracer compiled out)"
 
-# Two-phase pipeline determinism pass: build→save→load→serve must be
-# byte-stable — the same inputs produce the same .pvra bytes on every run
-# and at every thread count, and recommendations served from a freshly
-# built engine equal those served from a saved-then-loaded artifact.
+# Artifact determinism pass: build→save→load→serve must be byte-stable.
+# For K=1 (the SaveArtifact case) and K=3 shards, the manifest and every
+# shard file are the same bytes on every run and at every thread count,
+# and serving the artifact mapped, through the PRIVREC_NO_MMAP read
+# fallback, or straight from the built model (no --artifact-out:
+# ServingEngine::FromModel, no I/O) yields byte-identical recommendations.
 # (The asan-ubsan tree is already built above; running under ASan also
-# shakes the save/load paths for memory bugs.)
+# shakes the save/map paths for memory bugs.)
 SCRATCH=artifact-scratch
 rm -rf "$SCRATCH"
 mkdir -p "$SCRATCH"
@@ -96,49 +98,38 @@ run_pipeline() {  # run_pipeline <tag> <threads> <extra args...>
     --epsilon=0.5 --top_n=10 --threads="$threads" \
     --out="$SCRATCH/recs_$tag.tsv" "$@" > "$SCRATCH/log_$tag.txt"
 }
-run_pipeline t1a 1 --artifact-out="$SCRATCH/model_t1a.pvra"
-run_pipeline t1b 1 --artifact-out="$SCRATCH/model_t1b.pvra"
-run_pipeline t2  2 --artifact-out="$SCRATCH/model_t2.pvra"
-cmp "$SCRATCH/model_t1a.pvra" "$SCRATCH/model_t1b.pvra"
-cmp "$SCRATCH/model_t1a.pvra" "$SCRATCH/model_t2.pvra"
-# Serve a prior build (no rebuild, no ε re-spend) at a third thread
-# count: the recommendations must still be byte-identical.
-run_pipeline replay 4 --artifact-in="$SCRATCH/model_t1a.pvra"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_t1b.tsv"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_t2.tsv"
-cmp "$SCRATCH/recs_t1a.tsv" "$SCRATCH/recs_replay.tsv"
-rm -rf "$SCRATCH"
-echo "artifact determinism: .pvra bytes and served output stable across" \
-     "runs, thread counts, and save/load"
-
-# Sharded determinism pass: the same guarantees for the sharded .pvram
-# layout and the mmap zero-copy serve path. The manifest and every shard
-# file must be byte-stable across runs and thread counts, and serving a
-# sharded artifact — mapped or via the PRIVREC_NO_MMAP read fallback —
-# must reproduce the monolithic build's recommendations bit for bit.
-SCRATCH=artifact-shard-scratch-ci
-rm -rf "$SCRATCH"
-mkdir -p "$SCRATCH"/s1a "$SCRATCH"/s1b "$SCRATCH"/s2
-# The manifest's shard table references its shard files by relative
-# name, so byte-comparison needs the same artifact name — one
-# subdirectory per run.
-run_pipeline s1a 1 --artifact-out="$SCRATCH/s1a/model.pvram" --shards=3
-run_pipeline s1b 1 --artifact-out="$SCRATCH/s1b/model.pvram" --shards=3
-run_pipeline s2  2 --artifact-out="$SCRATCH/s2/model.pvram" --shards=3
-for part in "" .shard0 .shard1 .shard2; do
-  cmp "$SCRATCH/s1a/model.pvram$part" "$SCRATCH/s1b/model.pvram$part"
-  cmp "$SCRATCH/s1a/model.pvram$part" "$SCRATCH/s2/model.pvram$part"
+run_pipeline mem 1
+for k in 1 3; do
+  # The manifest names its shard files (by content) relative to itself,
+  # so byte comparison needs the same artifact name: one directory per run.
+  for run in a:1 b:1 c:2; do
+    tag="k$k${run%%:*}"
+    mkdir -p "$SCRATCH/$tag"
+    run_pipeline "$tag" "${run##*:}" --shards="$k" \
+      --artifact-out="$SCRATCH/$tag/model.pvram"
+  done
+  shards=("$SCRATCH/k${k}a"/model.pvram.shard*)
+  if [[ ${#shards[@]} -ne $k ]]; then
+    echo "FAIL: K=$k save left ${#shards[@]} shard files" >&2
+    exit 1
+  fi
+  for other in b c; do
+    diff <(ls "$SCRATCH/k${k}a") <(ls "$SCRATCH/k$k$other")
+    for file in "$SCRATCH/k${k}a"/*; do
+      cmp "$file" "$SCRATCH/k$k$other/$(basename "$file")"
+    done
+  done
+  run_pipeline "k${k}map" 4 --artifact-in="$SCRATCH/k${k}a/model.pvram"
+  (export PRIVREC_NO_MMAP=1
+   run_pipeline "k${k}read" 4 --artifact-in="$SCRATCH/k${k}a/model.pvram")
+  for tag in "k${k}a" "k${k}b" "k${k}c" "k${k}map" "k${k}read"; do
+    cmp "$SCRATCH/recs_mem.tsv" "$SCRATCH/recs_$tag.tsv"
+  done
 done
-run_pipeline mono 1 --artifact-out="$SCRATCH/model_mono.pvra"
-run_pipeline sreplay 4 --artifact-in="$SCRATCH/s1a/model.pvram"
-(export PRIVREC_NO_MMAP=1
- run_pipeline sread 4 --artifact-in="$SCRATCH/s1a/model.pvram")
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_mono.tsv"
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_sreplay.tsv"
-cmp "$SCRATCH/recs_s1a.tsv" "$SCRATCH/recs_sread.tsv"
 rm -rf "$SCRATCH"
-echo "sharded determinism: .pvram manifest+shards byte-stable, mapped and" \
-     "read-fallback serving match the monolithic recommendations"
+echo "artifact determinism: K=1 and K=3 manifest+shard bytes stable across" \
+     "runs and thread counts; mapped, read-fallback and in-memory serving" \
+     "match"
 
 # Privacy isolation: the serving library must stay free of preference-
 # and social-graph code — the CMake allowlist enforces the link layer,

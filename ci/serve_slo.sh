@@ -98,11 +98,11 @@ build-tsan/bench/bench_serve_load --scratch-dir="$SCRATCH/work_tsan" \
 grep -q '"pass": true' "$SCRATCH/report_tsan.json"
 echo "serve wall mode: 4 threads + swap storm clean under TSan"
 
-# Gate 5: the same rated load served from sharded .pvram artifacts over
-# the mmap zero-copy path (--load-shards routes every generation — good,
-# bit-flipped and truncated — through the manifest+shards layout). The
-# swap storm now exercises sharded admission, corrupt-manifest rejection
-# and epoch rollback; determinism and budgets are the monolithic gate's.
+# Gate 5: the same rated load served from 3-shard artifacts (gates 1-4
+# serve the default one-shard set; both go through the mmap zero-copy
+# path). The swap storm exercises multi-shard admission, corrupt-manifest
+# rejection and epoch rollback; determinism and budgets are gate 1's and
+# gate 2's.
 run_rated shards --load-shards=3 \
   --load-slo-p50-ms=12 --load-slo-p99-ms=30 --load-slo-p999-ms=40 \
   --load-slo-shed-rate=0.30 --load-slo-rollback-rate=0.60

@@ -73,7 +73,7 @@ FAULTS=(
   "dynamic.after_journal=io_error@1"
   "artifact.write=io_error@2"
   "artifact.rename=io_error@2"
-  "artifact.open=io_error@2"
+  "artifact.open=io_error@3"
 )
 case_no=0
 for fault in "${FAULTS[@]}"; do

@@ -22,10 +22,10 @@
 //                     [--artifact-dir=/tmp/quarter_artifacts]
 //
 // --artifact-dir routes every weekly release through the two-phase
-// pipeline: each snapshot is built into <dir>/snapshot_<t>.pvra and served
-// from the saved artifact (bit-identical to the in-process path). The
-// .pvra files are the quarter's audit trail — each records its ε_t, seed,
-// and ledger id in its provenance section.
+// pipeline: each snapshot is built into <dir>/snapshot_<t>.pvram (plus its
+// shard file) and served from the saved artifact (bit-identical to the
+// in-process path). The manifests are the quarter's audit trail — each
+// records its ε_t, seed, and ledger id in its provenance.
 //
 // With --artifact-dir the example also runs the resilient serving runtime
 // (serve::ServeRuntime): every saved snapshot is HOT-RELOADED into a live
@@ -215,12 +215,9 @@ int main(int argc, char** argv) {
     // Hot-swap the just-saved snapshot into the live runtime and answer a
     // request batch from the new epoch. A gate or probe failure rolls the
     // swap back and the runtime keeps serving last week's epoch.
-    if (!artifact_dir.empty() &&
+    if (!release->artifact_path.empty() &&
         release->snapshot_index % reload_every == 0) {
-      const std::string snapshot_path =
-          artifact_dir + "/snapshot_" +
-          std::to_string(release->snapshot_index) + ".pvra";
-      Status swapped = runtime.Activate(snapshot_path);
+      Status swapped = runtime.Activate(release->artifact_path);
       if (!swapped.ok()) {
         std::printf("       hot swap rolled back: %s (still serving epoch "
                     "%lld)\n",

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
               inputs->louvain.modularity);
 
   // 2. BUILD: run Algorithm 1's publication step (the only ε-spending
-  //    moment) and freeze it into a .pvra model artifact.
+  //    moment) and freeze it into a .pvram model artifact.
   artifact::ModelArtifactBuilder builder(&inputs->dataset.social,
                                          &inputs->dataset.preferences);
   builder.SetPartition(&inputs->louvain.partition);
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
     return 1;
   }
-  const std::string artifact_path = "/tmp/privrec_quickstart.pvra";
+  const std::string artifact_path = "/tmp/privrec_quickstart.pvram";
   Status saved = serving::SaveArtifact(*model, artifact_path);
   if (!saved.ok()) {
     std::fprintf(stderr, "%s\n", saved.ToString().c_str());

@@ -1,4 +1,4 @@
-// Zero-copy access to a sharded .pvra artifact (.pvram manifest + shard
+// Zero-copy access to an artifact (.pvram manifest + shard
 // files, see artifact/shard_layout.h).
 //
 // MappedFile maps a file read-only with mmap(2) and falls back to a plain

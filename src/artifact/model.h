@@ -1,12 +1,13 @@
-// The in-memory form of a .pvra model artifact: everything the serve phase
-// is allowed to know. Produced by artifact::ModelArtifactBuilder, persisted
-// by SaveArtifact/LoadArtifact (model_io), consumed by ServingEngine.
+// The in-memory form of a model artifact: everything the serve phase is
+// allowed to know. Produced by artifact::ModelArtifactBuilder, persisted
+// by SaveArtifact / SaveShardedArtifact (artifact/shard_layout.h),
+// consumed by ServingEngine.
 //
 // Deliberately NOT here: the social graph and the private PreferenceGraph.
 // The cluster path (the paper's main mechanism) serves from the sanitized
 // sections alone. The preference CSR section is optional and exists only so
 // the four reference baselines (Exact/NOU/NOE/GS) can be served through the
-// same container for apples-to-apples accuracy comparisons; a
+// same artifact for apples-to-apples accuracy comparisons; a
 // production-shaped artifact simply omits it.
 
 #ifndef PRIVREC_ARTIFACT_MODEL_H_
@@ -18,11 +19,8 @@
 
 namespace privrec::serving {
 
-// On-disk container constants (see DESIGN.md for the field-level layout).
-inline constexpr uint32_t kArtifactMagic = 0x41525650;  // "PVRA" little-endian
-inline constexpr uint32_t kArtifactVersion = 1;
-
-// Section ids. Values are part of the on-disk format; never renumber.
+// The model's logical sections, named in validation errors. (The on-disk
+// layout has its own section ids: ManifestSectionId / ShardSectionId.)
 enum class SectionId : uint32_t {
   kGraphMeta = 1,
   kPartition = 2,

@@ -1,19 +1,13 @@
-// Serialization of ArtifactModel to/from the .pvra container.
+// Saving an ArtifactModel as the unsharded case of the one artifact
+// layout (artifact/shard_layout.h): a .pvram manifest plus one shard.
 //
-// Saves are atomic: the container is written to a same-directory temp
-// file, flushed, and renamed over the destination, so a crash mid-save
-// can never leave a torn artifact where a reader (or the hot-swap
-// runtime, src/serve) would pick it up — the previous file survives
-// intact until the rename commits.
+// Saves are atomic and crash-safe across overwrites: the shard is written
+// under a content-derived name and the manifest rename commits, so a
+// crash or fault at any write or rename leaves the previous artifact at
+// `path` loadable (see SaveShardedArtifact). Load with
+// ServingEngine::Load or MappedArtifact::Open.
 //
-// Save and load are instrumented (privrec.artifact.{bytes,sections,
-// save_ms,load_ms} plus artifact.save / artifact.load spans) and faultable
-// (points artifact.open / artifact.write / artifact.rename /
-// artifact.read; a short_read fault truncates the loaded bytes so the
-// section-level robustness path is exercised end to end, and a latency
-// fault on artifact.read stalls the load like a slow disk).
-//
-// Byte determinism: encoding an ArtifactModel is a pure function of its
+// Byte determinism: the files are a pure function of the model's
 // contents — no timestamps, pointers, or locale-dependent text — so two
 // builds from the same inputs produce identical files. ci/sanitize.sh
 // byte-compares artifacts across runs and thread counts to hold this.
@@ -24,19 +18,15 @@
 #include <string>
 
 #include "artifact/model.h"
+#include "artifact/shard_layout.h"
 #include "common/status.h"
 
 namespace privrec::serving {
 
-// The container bytes for a model (no I/O) — what SaveArtifact writes.
-std::string EncodeArtifact(const ArtifactModel& model);
-
-// Parses container bytes back into a model. Errors carry the section name
-// and come back as kParseError (damage), kVersionMismatch (format skew).
-Result<ArtifactModel> DecodeArtifact(const std::string& bytes);
-
-Status SaveArtifact(const ArtifactModel& model, const std::string& path);
-Result<ArtifactModel> LoadArtifact(const std::string& path);
+inline Status SaveArtifact(const ArtifactModel& model,
+                           const std::string& path) {
+  return SaveShardedArtifact(model, path, {.shards = 1});
+}
 
 }  // namespace privrec::serving
 

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <utility>
 
-#include "artifact/model_io.h"
 #include "artifact/shard_layout.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
@@ -850,27 +849,22 @@ Result<ServingEngine> ServingEngine::FromMapped(
 }
 
 Result<ServingEngine> ServingEngine::Load(const std::string& path) {
-  // Sniff the container family from the magic so one entry point serves
-  // both layouts (and gives a useful error for a shard file).
+  // A shard file passed by mistake gets a pointed error; everything else
+  // that is not a manifest fails MappedArtifact::Open's magic check.
   uint32_t magic = 0;
   {
     std::ifstream in(path, std::ios::binary);
     if (in) in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  }
-  if (magic == kManifestMagic) {
-    Result<std::shared_ptr<const MappedArtifact>> mapped =
-        MappedArtifact::Open(path, MapOptionsFromEnv());
-    if (!mapped.ok()) return mapped.status();
-    return FromMapped(std::move(*mapped));
   }
   if (magic == kShardMagic) {
     return Status::InvalidArgument(
         "'" + path +
         "' is a shard file; load its .pvram manifest instead");
   }
-  Result<ArtifactModel> model = LoadArtifact(path);
-  if (!model.ok()) return model.status();
-  return FromModel(std::move(*model));
+  Result<std::shared_ptr<const MappedArtifact>> mapped =
+      MappedArtifact::Open(path, MapOptionsFromEnv());
+  if (!mapped.ok()) return mapped.status();
+  return FromMapped(std::move(*mapped));
 }
 
 Status ServingEngine::CheckGraph(uint64_t expected_hash) const {

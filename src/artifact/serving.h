@@ -1,8 +1,8 @@
 // ServingEngine: the online half of the build/serve split.
 //
 // An engine wraps one immutable artifact — either an owned ArtifactModel
-// (loaded from a monolithic .pvra file or handed over in memory) or a
-// zero-copy MappedArtifact view of a sharded .pvram manifest — and
+// handed over in memory or a zero-copy MappedArtifact view of a .pvram
+// manifest and its shards — and
 // constructs serve-side recommenders that read ONLY artifact sections.
 // The private PreferenceGraph type is not merely unused here — it is
 // unlinkable: the privrec_serving library must not depend on
@@ -40,12 +40,11 @@ namespace privrec::serving {
 
 class ServingEngine {
  public:
-  // Load + validate from a .pvra file or a sharded .pvram manifest — the
-  // first four bytes decide which loader runs (errors: kNotFound,
-  // kIoError, kParseError with the damaged section's name,
-  // kVersionMismatch, and for sharded sets kDataLoss / kGraphMismatch /
-  // kProvenanceMismatch / kFailedPrecondition per artifact/mapped.h).
-  // Passing a shard file directly is kInvalidArgument: load the manifest.
+  // Map + validate a .pvram manifest and its shards (errors: kNotFound,
+  // kIoError, kParseError — also for any file that is not a manifest —
+  // kVersionMismatch, kDataLoss / kGraphMismatch / kProvenanceMismatch /
+  // kFailedPrecondition per artifact/mapped.h). Passing a shard file
+  // directly is kInvalidArgument: load the manifest.
   static Result<ServingEngine> Load(const std::string& path);
 
   // Adopt an in-memory model (the no-I/O serve path used by the benches).

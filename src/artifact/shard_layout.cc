@@ -5,12 +5,16 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "artifact/format.h"
 #include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/macros.h"
+#include "common/timer.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace privrec::serving {
 
@@ -18,7 +22,7 @@ namespace privrec::serving {
 // defined as little-endian IEEE-754, which is what every supported target
 // is. A big-endian port would need byte-swapping read/write shims here.
 static_assert(std::endian::native == std::endian::little,
-              "sharded .pvra layout requires a little-endian target");
+              "the artifact layout requires a little-endian target");
 static_assert(sizeof(WorkloadEntry) == 16 &&
                   offsetof(WorkloadEntry, user) == 0 &&
                   offsetof(WorkloadEntry, score) == 8,
@@ -50,8 +54,10 @@ void PutU64(std::string* out, uint64_t v) {
   }
 }
 
-// Atomic publication, same discipline (and same fault points) as
-// SaveArtifact: temp file in the destination directory, flush, rename.
+// Atomic publication of one file: temp file in the destination
+// directory, flush, rename. A failure at any point leaves whatever was at
+// `path` before untouched. Fault points: artifact.open, artifact.write,
+// artifact.rename (one hit each per file).
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   if (fault::Hit("artifact.open") == fault::FaultKind::kIoError) {
     return Status::IoError("injected open failure for '" + path + "'");
@@ -395,6 +401,11 @@ std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
 Status SaveShardedArtifact(const ArtifactModel& model,
                            const std::string& manifest_path,
                            const ShardingOptions& options) {
+  PRIVREC_SPAN("artifact.save");
+  static obs::Histogram& save_ms = obs::GetHistogram(
+      "privrec.artifact.save_ms", obs::ExponentialBuckets(0.1, 4.0, 10));
+  ScopedTimer timer(&save_ms);
+
   const std::vector<int64_t> bounds = ShardClusterBounds(model, options.shards);
   const auto shard_count = static_cast<uint32_t>(bounds.size() - 1);
   const uint64_t token = ArtifactToken(model);
@@ -417,6 +428,7 @@ Status SaveShardedArtifact(const ArtifactModel& model,
   const std::string base_name = manifest_path.substr(dir_sep.size());
 
   std::vector<ShardTableEntry> table(shard_count);
+  uint64_t total_bytes = 0;
   for (uint32_t s = 0; s < shard_count; ++s) {
     const int64_t cb = bounds[s], ce = bounds[s + 1];
 
@@ -487,18 +499,25 @@ Status SaveShardedArtifact(const ArtifactModel& model,
 
     const std::string bytes =
         EncodeAlignedContainer(kShardMagic, kShardFormatVersion, sections);
-    const std::string shard_file = base_name + ".shard" + std::to_string(s);
+    const uint64_t frame =
+        kFrameHeaderBytes + kTableEntryBytes * sections.size();
+    const uint32_t frame_crc = Crc32(bytes.data(), frame);
+    // Content-addressed name: a new generation's shards never overwrite
+    // the files the previous manifest names (see the commit note below).
+    char crc_hex[9];
+    std::snprintf(crc_hex, sizeof(crc_hex), "%08x", frame_crc);
+    const std::string shard_file =
+        base_name + ".shard" + std::to_string(s) + "." + crc_hex;
     Status written = WriteFileAtomic(dir_sep + shard_file, bytes);
     if (!written.ok()) return written;
+    total_bytes += bytes.size();
 
     ShardTableEntry& e = table[s];
     e.file = shard_file;
     e.cluster_begin = cb;
     e.cluster_end = ce;
     e.file_size = bytes.size();
-    const uint64_t frame =
-        kFrameHeaderBytes + kTableEntryBytes * sections.size();
-    e.frame_crc32 = Crc32(bytes.data(), frame);
+    e.frame_crc32 = frame_crc;
     e.noisy_values = static_cast<uint64_t>(ce - cb) * num_items;
     e.workload_entries = entry_count;
     e.pref_edges = pref_count;
@@ -560,9 +579,39 @@ Status SaveShardedArtifact(const ArtifactModel& model,
                   model.lowrank.l.size() * sizeof(double))});
   }
 
-  return WriteFileAtomic(
-      manifest_path,
-      EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections));
+  const std::string manifest =
+      EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections);
+  // The manifest rename is the commit: until it lands, the old manifest
+  // still names only the old generation's shard files, all untouched.
+  Status committed = WriteFileAtomic(manifest_path, manifest);
+  if (!committed.ok()) return committed;
+
+  // Post-commit sweep: every "<manifest>.shard*" file the new manifest
+  // does not name — the previous generation's shards, and orphan shards or
+  // shard temp files left by an earlier save that failed before its
+  // commit. Best effort: the release is already published.
+  const std::string prefix = base_name + ".shard";
+  auto named = [&](const std::string& name) {
+    return std::any_of(table.begin(), table.end(),
+                       [&](const ShardTableEntry& e) { return e.file == name; });
+  };
+  std::vector<std::filesystem::path> stale;
+  std::error_code ec;
+  for (std::filesystem::directory_iterator it(
+           dir_sep.empty() ? std::string(".") : dir_sep, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0 && !named(name)) {
+      stale.push_back(it->path());
+    }
+  }
+  for (const std::filesystem::path& path : stale) {
+    std::filesystem::remove(path, ec);
+  }
+
+  static obs::Gauge& bytes_gauge = obs::GetGauge("privrec.artifact.bytes");
+  bytes_gauge.Set(static_cast<double>(total_bytes + manifest.size()));
+  return Status::Ok();
 }
 
 }  // namespace privrec::serving

@@ -1,10 +1,12 @@
-// The sharded .pvra layout: one .pvram manifest plus K shard files, all
+// The artifact layout: one .pvram manifest plus K shard files, all
 // framed as "aligned containers" — a fixed header, an up-front section
 // table, and section payloads placed at 64-byte-aligned file offsets with
-// zero padding between them. The alignment is the point: the noisy-table
-// rows, the workload CSR records and the preference CSR arrays are stored
-// as raw little-endian fixed-width arrays, so a reader that maps the file
-// can serve them in place (artifact/mapped.h) without a deserialize pass.
+// zero padding between them. It is the only on-disk form of a release; a
+// one-shard set (SaveArtifact, artifact/model_io.h) is the unsharded case.
+// The alignment is the point: the noisy-table rows, the workload CSR
+// records and the preference CSR arrays are stored as raw little-endian
+// fixed-width arrays, so a reader that maps the file can serve them in
+// place (artifact/mapped.h) without a deserialize pass.
 //
 // Sharding axis (and why it is ε-free): the builder partitions the noisy
 // table by cluster range, and every user's workload/preference rows land
@@ -40,8 +42,8 @@
 
 namespace privrec::serving {
 
-// "PVRM" / "PVRS" little-endian. Distinct from kArtifactMagic ("PVRA") so
-// ServingEngine::Load can sniff which loader a path needs.
+// "PVRM" / "PVRS" little-endian. Distinct so ServingEngine::Load can tell
+// a shard file passed by mistake from its manifest.
 inline constexpr uint32_t kManifestMagic = 0x4D525650;
 inline constexpr uint32_t kShardMagic = 0x53525650;
 inline constexpr uint32_t kShardFormatVersion = 1;
@@ -196,11 +198,18 @@ struct ShardingOptions {
 std::vector<int64_t> ShardClusterBounds(const ArtifactModel& model,
                                         int64_t shards);
 
-// Writes `manifest_path` plus sibling `<manifest_path>.shard<k>` files.
-// Every file is published atomically (same-directory temp + rename) and
-// the manifest is written LAST, so a crash mid-save never leaves a
-// manifest naming a missing or torn shard. Shares the artifact.open /
-// artifact.write / artifact.rename fault points with SaveArtifact.
+// Writes `manifest_path` plus sibling shard files named by content,
+// "<manifest_path>.shard<k>.<frame crc32 hex>". Every file is published
+// atomically (same-directory temp + rename) and the manifest is written
+// LAST: its rename is the commit. Because the shard names differ between
+// generations, a failure at any write or rename of an overwrite leaves
+// the previous manifest and every shard it names intact and loadable.
+// After the commit, every "<manifest_path>.shard*" file the new manifest
+// does not name (the previous generation, orphans and temp files of
+// earlier failed saves) is removed. Fault points artifact.open /
+// artifact.write / artifact.rename are hit once per file, shards first.
+// Instrumented: privrec.artifact.save_ms, privrec.artifact.bytes (the
+// whole set), span artifact.save.
 Status SaveShardedArtifact(const ArtifactModel& model,
                            const std::string& manifest_path,
                            const ShardingOptions& options);

@@ -147,6 +147,7 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
   const uint64_t noise_seed =
       SplitMix64(options_.seed + 0x9e37 + static_cast<uint64_t>(t));
   RecommendedBatch batch;
+  std::string artifact_path;
   if (!options_.artifact_dir.empty()) {
     // Two-phase route: build → save → load → serve. The artifact's
     // publication uses the same (partition, workload, ε_t, seed) as the
@@ -158,11 +159,10 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
       return Status::IoError("cannot create artifact dir '" +
                              options_.artifact_dir + "': " + ec.message());
     }
+    // Debris of a crash mid-save (temp files, orphan shards) is never a
+    // resumable artifact; the next successful save sweeps it.
     const std::string path = options_.artifact_dir + "/snapshot_" +
-                             std::to_string(t) + ".pvra";
-    // A crash mid-save leaves a temp file next to the destination; it is
-    // garbage from a torn write, never a resumable artifact.
-    std::filesystem::remove(path + ".tmp", ec);
+                             std::to_string(t) + ".pvram";
 
     artifact::ModelArtifactBuilder builder(context.social,
                                            context.preferences);
@@ -215,6 +215,7 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
         serving::MakeServeRecommender(&*engine, spec);
     if (!server.ok()) return server.status();
     batch = (*server)->Recommend(users, top_n);
+    artifact_path = path;
   } else {
     ClusterRecommender recommender(context, clustering,
                                    {.epsilon = epsilon, .seed = noise_seed});
@@ -230,6 +231,7 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
   release.snapshot_index = t;
   release.num_clusters = clustering.num_clusters();
   release.resumed_from_intent = resumed_intent;
+  release.artifact_path = std::move(artifact_path);
   if (resumed_intent) resumed.Increment();
 
   if (ledger_ && !ledger_->IsCommitted(t)) {

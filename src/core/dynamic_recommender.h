@@ -70,7 +70,7 @@ struct DynamicRecommenderOptions {
   // kStaleReplay) instead of failing with RESOURCE_EXHAUSTED.
   bool serve_stale_on_exhaustion = false;
   // Non-empty: route each snapshot through the two-phase pipeline — build
-  // a model artifact, save it as <artifact_dir>/snapshot_<t>.pvra, load it
+  // a model artifact, save it as <artifact_dir>/snapshot_<t>.pvram, load it
   // back, and serve the release from the artifact (bit-identical to the
   // in-process path). The saved artifacts are the session's audit trail:
   // each records its ε_t, seed, and ledger id in its provenance section.
@@ -88,6 +88,9 @@ struct SnapshotRelease {
   double cumulative_epsilon = 0.0;
   int64_t snapshot_index = 0;
   int64_t num_clusters = 0;
+  // The manifest this release was served from (artifact_dir sessions;
+  // empty for in-memory sessions and stale replays).
+  std::string artifact_path;
   // This release re-issued a journaled-but-uncommitted intent found at
   // startup (crash recovery) — paid for by a previous run, not this call.
   bool resumed_from_intent = false;

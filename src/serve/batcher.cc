@@ -13,8 +13,10 @@ struct RequestBatcher::Batch {
   int64_t top_n = 0;
   int64_t open_clock_ms = 0;  // injected clock at open
   std::chrono::steady_clock::time_point open_real;
-  // One entry per member, in arrival order. Members block inside Submit,
-  // so the pointed-to vectors stay valid for the life of the batch.
+  // One entry per member, in arrival order. Every member blocks inside
+  // Submit until `done`, so the pointed-to vectors are valid for the
+  // leader's merge — but not after it: a member that has taken its slice
+  // returns, and its vector may be gone while others still slice.
   std::vector<const std::vector<graph::NodeId>*> member_users;
   int64_t total_users = 0;
   bool closed = false;  // no longer accepting members
@@ -45,7 +47,9 @@ RequestBatcher::Slice RequestBatcher::Submit(
 
   std::unique_lock<std::mutex> lock(mu_);
   std::shared_ptr<Batch> b = open_;
-  size_t my_slot = 0;
+  // Where this member's users start in the merged batch, fixed at join
+  // time (other members' vectors may be freed before this one slices).
+  size_t my_offset = 0;
   const bool joinable =
       b != nullptr && !b->closed && b->epoch.get() == epoch.get() &&
       b->top_n == top_n &&
@@ -56,7 +60,7 @@ RequestBatcher::Slice RequestBatcher::Submit(
     // Follower: append and wait for the leader to execute. Waking the
     // leader early when this arrival fills the batch keeps the window a
     // bound, not a floor.
-    my_slot = b->member_users.size();
+    my_offset = static_cast<size_t>(b->total_users);
     b->member_users.push_back(&users);
     b->total_users += my_users;
     if (full(*b)) b->cv.notify_all();
@@ -108,10 +112,6 @@ RequestBatcher::Slice RequestBatcher::Submit(
 
   // Slice this member's lists back out (still under the lock; each member
   // moves only its own disjoint range).
-  size_t offset = 0;
-  for (size_t i = 0; i < my_slot; ++i) {
-    offset += b->member_users[i]->size();
-  }
   Slice out;
   out.batch_requests = static_cast<int64_t>(b->member_users.size());
   out.batch_users = b->total_users;
@@ -120,8 +120,8 @@ RequestBatcher::Slice RequestBatcher::Submit(
   out.batch.lists.resize(users.size());
   out.batch.degradation.resize(users.size());
   for (size_t i = 0; i < users.size(); ++i) {
-    out.batch.lists[i] = std::move(b->merged.lists[offset + i]);
-    out.batch.degradation[i] = b->merged.degradation[offset + i];
+    out.batch.lists[i] = std::move(b->merged.lists[my_offset + i]);
+    out.batch.degradation[i] = b->merged.degradation[my_offset + i];
     if (out.batch.degradation[i].degraded()) {
       ++out.batch.report.users_degraded;
     }

@@ -4,12 +4,14 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "artifact/builder.h"
 #include "artifact/model_io.h"
+#include "artifact/serving.h"
 #include "common/fault_injection.h"
 #include "community/louvain.h"
 #include "community/partition_io.h"
@@ -472,10 +474,12 @@ TEST_F(LastFmRobustnessTest, TransientReadFaultIsRetriedAway) {
 
 // ------------------------------------------------- atomic artifact saves
 
-// SaveArtifact publishes via write-temp-then-rename: a crash (simulated by
-// a fault between the temp write and the rename) must leave the previous
-// artifact byte-intact and no temp debris a reloader could mistake for a
-// release.
+// SaveArtifact publishes a one-shard set: the shard under a content-derived
+// name, then the manifest via write-temp-then-rename, whose rename is the
+// commit. A crash (simulated by a fault) at ANY write or rename of an
+// overwrite must leave the previous generation loadable and no temp debris
+// a reloader could mistake for a release; the next successful save sweeps
+// the orphan shard.
 class ArtifactSaveRobustnessTest : public DataRobustnessTest {
  protected:
   serving::ArtifactModel BuildModel(uint64_t seed) {
@@ -498,50 +502,60 @@ class ArtifactSaveRobustnessTest : public DataRobustnessTest {
       similarity::SimilarityWorkload::Compute(social_,
                                               similarity::CommonNeighbors());
   community::Partition partition_{{0, 0, 0, 1, 1}};
+
+  size_t DirEntries() const {
+    return static_cast<size_t>(std::distance(fs::directory_iterator(dir_),
+                                              fs::directory_iterator()));
+  }
+  bool HasTempFile() const {
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".tmp") return true;
+    }
+    return false;
+  }
 };
 
 TEST_F(ArtifactSaveRobustnessTest, SuccessfulSaveLeavesNoTempFile) {
-  const std::string path = (dir_ / "model.pvra").string();
+  const std::string path = (dir_ / "model.pvram").string();
   serving::ArtifactModel model = BuildModel(5);
   ASSERT_TRUE(serving::SaveArtifact(model, path).ok());
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  EXPECT_TRUE(serving::LoadArtifact(path).ok());
+  EXPECT_EQ(DirEntries(), 2u);  // the manifest and its one shard
+  EXPECT_FALSE(HasTempFile());
+  EXPECT_TRUE(serving::ServingEngine::Load(path).ok());
 }
 
-TEST_F(ArtifactSaveRobustnessTest, CrashBeforeRenameKeepsOldArtifact) {
+TEST_F(ArtifactSaveRobustnessTest, FailedOverwriteKeepsOldGeneration) {
   if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
-  const std::string path = (dir_ / "model.pvra").string();
-  ASSERT_TRUE(serving::SaveArtifact(BuildModel(5), path).ok());
+  const std::string path = (dir_ / "model.pvram").string();
+  // Each fault point is hit once per file: hit 1 is the shard, hit 2 the
+  // manifest.
+  for (const char* point :
+       {"artifact.open", "artifact.write", "artifact.rename"}) {
+    for (int64_t nth : {1, 2}) {
+      ASSERT_TRUE(serving::SaveArtifact(BuildModel(5), path).ok());
+      {
+        fault::ScopedFaultInjection scope;
+        fault::FaultInjector::Instance().ArmNth(
+            point, fault::FaultKind::kIoError, nth);
+        Status failed = serving::SaveArtifact(BuildModel(6), path);
+        ASSERT_FALSE(failed.ok()) << point << "@" << nth;
+        EXPECT_EQ(failed.code(), StatusCode::kIoError);
+      }
+      EXPECT_FALSE(HasTempFile()) << point << "@" << nth;
+      auto survivor = serving::ServingEngine::Load(path);
+      ASSERT_TRUE(survivor.ok())
+          << point << "@" << nth << ": " << survivor.status().ToString();
+      EXPECT_EQ(survivor->model().provenance.seed, 5u) << point << "@" << nth;
 
-  // The overwrite "crashes" after fully writing the temp file, before the
-  // rename: the published artifact must still be generation 5.
-  fault::ScopedFaultInjection scope(
-      "artifact.rename",
-      fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-  Status failed = serving::SaveArtifact(BuildModel(6), path);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-
-  auto survivor = serving::LoadArtifact(path);
-  ASSERT_TRUE(survivor.ok()) << survivor.status().ToString();
-  EXPECT_EQ(survivor->provenance.seed, 5u);
-}
-
-TEST_F(ArtifactSaveRobustnessTest, WriteFaultNeverTouchesDestination) {
-  if (!fault::kCompiledIn) GTEST_SKIP() << "fault probes compiled out";
-  const std::string path = (dir_ / "model.pvra").string();
-  ASSERT_TRUE(serving::SaveArtifact(BuildModel(5), path).ok());
-
-  fault::ScopedFaultInjection scope(
-      "artifact.write",
-      fault::FaultSpec{.kind = fault::FaultKind::kIoError});
-  ASSERT_FALSE(serving::SaveArtifact(BuildModel(6), path).ok());
-  EXPECT_FALSE(fs::exists(path + ".tmp"));
-  auto survivor = serving::LoadArtifact(path);
-  ASSERT_TRUE(survivor.ok());
-  EXPECT_EQ(survivor->provenance.seed, 5u);
+      // The retried overwrite commits and sweeps generation 5 and any
+      // orphan shard the failed save left behind.
+      ASSERT_TRUE(serving::SaveArtifact(BuildModel(6), path).ok());
+      EXPECT_EQ(DirEntries(), 2u) << point << "@" << nth;
+      auto fresh = serving::ServingEngine::Load(path);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_EQ(fresh->model().provenance.seed, 6u);
+    }
+  }
 }
 
 }  // namespace

@@ -319,7 +319,7 @@ class LoadHarnessTest : public ::testing::Test {
 };
 
 TEST_F(LoadHarnessTest, RunVirtualIsDeterministicAcrossFreshRuntimes) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
 
   auto run_once = [&]() -> LoadSummary {
     serve::ManualClock clock;
@@ -355,7 +355,7 @@ TEST_F(LoadHarnessTest, RunVirtualIsDeterministicAcrossFreshRuntimes) {
 // worker thread counts (the sink never reads a clock or RNG; time enters
 // only through the events).
 TEST_F(LoadHarnessTest, TelemetryStreamIsByteIdenticalAcrossRunsAndThreads) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
 
   struct Capture {
     std::string jsonl;
@@ -403,7 +403,7 @@ TEST_F(LoadHarnessTest, TelemetryStreamIsByteIdenticalAcrossRunsAndThreads) {
 }
 
 TEST_F(LoadHarnessTest, OverloadedRunShedsWithLoadAwareHints) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serve::ManualClock clock;
   serve::ServeRuntimeOptions options = RuntimeOptions(&clock);
   options.admission.max_concurrency = 1;  // choke point
@@ -426,9 +426,9 @@ TEST_F(LoadHarnessTest, OverloadedRunShedsWithLoadAwareHints) {
 }
 
 TEST_F(LoadHarnessTest, SwapStormRunStaysCorrectAndRollsBack) {
-  const std::string good_a = BuildArtifact("good_a.pvra", 101);
-  const std::string good_b = BuildArtifact("good_b.pvra", 202);
-  const std::string corrupt = CorruptCopy(good_a, "bitflip.pvra");
+  const std::string good_a = BuildArtifact("good_a.pvram", 101);
+  const std::string good_b = BuildArtifact("good_b.pvram", 202);
+  const std::string corrupt = CorruptCopy(good_a, "bitflip.pvram");
 
   serve::ManualClock clock;
   serve::ServeRuntime runtime(RuntimeOptions(&clock));
@@ -464,7 +464,7 @@ TEST_F(LoadHarnessTest, SwapStormRunStaysCorrectAndRollsBack) {
 // ------------------------------------------------------------ oracle
 
 TEST_F(LoadHarnessTest, OracleFlagsTamperedAndForeignResponses) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serving::ServeSpec spec;
   spec.mechanism = "Cluster";
   spec.epsilon = kEps;
@@ -496,7 +496,7 @@ TEST_F(LoadHarnessTest, OracleFlagsTamperedAndForeignResponses) {
 }
 
 TEST_F(LoadHarnessTest, OracleRejectsStatefulMechanisms) {
-  const std::string path = BuildArtifact("a.pvra", 101);
+  const std::string path = BuildArtifact("a.pvram", 101);
   serving::ServeSpec fresh;
   fresh.mechanism = "ClusterFresh";
   fresh.epsilon = kEps;

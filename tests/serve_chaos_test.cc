@@ -106,8 +106,8 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
     EXPECT_TRUE(serving::SaveArtifact(*model, path).ok());
     return path;
   };
-  const std::string good_a = build("good_a.pvra", 101);
-  const std::string good_b = build("good_b.pvra", 202);
+  const std::string good_a = build("good_a.pvram", 101);
+  const std::string good_b = build("good_b.pvram", 202);
 
   // The oracle: per-generation expected output, precomputed once. Cluster
   // serving is stateless post-processing of the frozen release, so EVERY
@@ -129,8 +129,8 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
   ASSERT_EQ(expected.size(), 2u);
 
   // Corruptions: a payload bit flip (CRC failure) and a truncation.
-  const std::string bitflip = (dir / "bitflip.pvra").string();
-  const std::string trunc = (dir / "trunc.pvra").string();
+  const std::string bitflip = (dir / "bitflip.pvram").string();
+  const std::string trunc = (dir / "trunc.pvram").string();
   {
     std::string bytes = ReadAllBytes(good_a);
     ASSERT_GT(bytes.size(), 400u);
@@ -336,6 +336,14 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
   };
   const std::string good_a = build("good_a", 101);
   const std::string good_b = build("good_b", 202);
+  // Shard files are named by content; the manifest holds the names.
+  auto shard_path = [](const std::string& manifest, size_t k) {
+    auto mapped = serving::MappedArtifact::Open(manifest, {});
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    return (fs::path(manifest).parent_path() /
+            (*mapped)->shard_table().at(k).file)
+        .string();
+  };
 
   std::map<uint64_t, Expectation> expected;
   for (const std::string& path : {good_a, good_b}) {
@@ -359,7 +367,7 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
   // alignment padding), and shard 2 deleted outright.
   const std::string bitflip = build("bitflip", 101);
   {
-    const std::string shard = bitflip + ".shard1";
+    const std::string shard = shard_path(bitflip, 1);
     std::string bytes = ReadAllBytes(shard);
     auto view = serving::ParseAlignedContainer(
         bytes.data(), bytes.size(), serving::kShardMagic,
@@ -377,7 +385,7 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
     WriteAllBytes(shard, bytes);
   }
   const std::string missing = build("missing", 202);
-  fs::remove(missing + ".shard2");
+  fs::remove(shard_path(missing, 2));
 
   serve::ServeRuntimeOptions options;
   options.swap.spec.mechanism = "Cluster";

@@ -457,7 +457,7 @@ class ServeSwapTest : public ::testing::Test {
 };
 
 TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
-  const std::string path = BuildArtifact("a.pvra", 11, kEps);
+  const std::string path = BuildArtifact("a.pvram", 11, kEps);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   EXPECT_EQ(swapper.Acquire(), nullptr);
 
@@ -484,8 +484,8 @@ TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
 }
 
 TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
-  const std::string bad = BuildArtifact("bad.pvra", 12, kEps);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
+  const std::string bad = BuildArtifact("bad.pvram", 12, kEps);
   {
     // Flip one payload bit: CRC must reject the section.
     std::fstream f(bad, std::ios::binary | std::ios::in | std::ios::out);
@@ -536,8 +536,8 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
 }
 
 TEST_F(ServeSwapTest, ProvenanceGateRollsBack) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
-  const std::string other = BuildArtifact("other.pvra", 11, kEps / 2);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
+  const std::string other = BuildArtifact("other.pvram", 11, kEps / 2);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(good).ok());
   Status swapped = swapper.Activate(other);
@@ -547,7 +547,7 @@ TEST_F(ServeSwapTest, ProvenanceGateRollsBack) {
 }
 
 TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
-  const std::string good = BuildArtifact("good.pvra", 11, kEps);
+  const std::string good = BuildArtifact("good.pvram", 11, kEps);
 
   // Same shape, different dataset: a different fingerprint.
   data::Dataset foreign = data::MakeTinyDataset(60, 40, /*seed=*/8);
@@ -564,7 +564,7 @@ TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
   build_options.seed = 11;
   auto model = builder.Build(build_options);
   ASSERT_TRUE(model.ok());
-  const std::string foreign_path = Path("foreign.pvra");
+  const std::string foreign_path = Path("foreign.pvram");
   ASSERT_TRUE(serving::SaveArtifact(*model, foreign_path).ok());
 
   ArtifactSwapper swapper(ClusterPolicy(kEps));
@@ -575,8 +575,8 @@ TEST_F(ServeSwapTest, PinnedGraphHashRejectsForeignDataset) {
 }
 
 TEST_F(ServeSwapTest, InFlightEpochSurvivesSwap) {
-  const std::string a = BuildArtifact("a.pvra", 11, kEps);
-  const std::string b = BuildArtifact("b.pvra", 12, kEps);
+  const std::string a = BuildArtifact("a.pvram", 11, kEps);
+  const std::string b = BuildArtifact("b.pvram", 12, kEps);
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(a).ok());
 
@@ -596,7 +596,7 @@ TEST_F(ServeSwapTest, InFlightEpochSurvivesSwap) {
 // ------------------------------------------------------------ runtime
 
 TEST_F(ServeSwapTest, RuntimeServesAndRecordsEpochIdentity) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -623,7 +623,7 @@ TEST_F(ServeSwapTest, RuntimeServesAndRecordsEpochIdentity) {
 }
 
 TEST_F(ServeSwapTest, ShedRequestGetsGlobalFallbackTier) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -655,7 +655,7 @@ TEST_F(ServeSwapTest, ShedRequestGetsGlobalFallbackTier) {
 }
 
 TEST_F(ServeSwapTest, ExpiredDeadlineFallsBackWithTypedStatus) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(100);
   ServeRuntimeOptions options;
@@ -680,7 +680,7 @@ TEST_F(ServeSwapTest, ExpiredDeadlineFallsBackWithTypedStatus) {
 }
 
 TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
-  const std::string good = BuildArtifact("good.pvra", 21, kEps);
+  const std::string good = BuildArtifact("good.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -691,7 +691,7 @@ TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
   ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(good).ok());
 
-  const std::string missing = Path("missing.pvra");
+  const std::string missing = Path("missing.pvram");
   EXPECT_EQ(runtime.Activate(missing).code(), StatusCode::kNotFound);
   EXPECT_EQ(runtime.Activate(missing).code(), StatusCode::kNotFound);
   EXPECT_EQ(runtime.reload_breaker().state(), BreakerState::kOpen);
@@ -711,7 +711,7 @@ TEST_F(ServeSwapTest, ReloadBreakerOpensOnRepeatedBadArtifacts) {
 // Satellite hardening: an empty user list is a valid no-op request — it
 // succeeds with epoch identity attached and consumes no admission slot.
 TEST_F(ServeSwapTest, EmptyUserListServedWithoutSlot) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -733,7 +733,7 @@ TEST_F(ServeSwapTest, EmptyUserListServedWithoutSlot) {
 // Satellite hardening: non-positive top_n is a caller bug, not a load
 // condition — typed kInvalidArgument, no fallback tier.
 TEST_F(ServeSwapTest, NonPositiveTopNIsInvalidArgument) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -755,7 +755,7 @@ TEST_F(ServeSwapTest, NonPositiveTopNIsInvalidArgument) {
 // Satellite hardening: a negative deadline is already expired on arrival
 // and takes the same typed degrade path as deadline_ms=0.
 TEST_F(ServeSwapTest, NegativeDeadlineExpiresWithTypedStatus) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(100);
   ServeRuntimeOptions options;
@@ -776,8 +776,8 @@ TEST_F(ServeSwapTest, NegativeDeadlineExpiresWithTypedStatus) {
 // FinishAsync must not change what it serves — including a request that
 // was still QUEUED for admission when the swap landed.
 TEST_F(ServeSwapTest, AsyncServeMatchesBlockingHandleAcrossSwap) {
-  const std::string a = BuildArtifact("a.pvra", 21, kEps);
-  const std::string b = BuildArtifact("b.pvra", 22, kEps);
+  const std::string a = BuildArtifact("a.pvram", 21, kEps);
+  const std::string b = BuildArtifact("b.pvram", 22, kEps);
   ManualClock clock;
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
@@ -853,8 +853,8 @@ TEST(ServeIsolatedUserTest, FallbackRankingStableAcrossHotSwap) {
     EXPECT_TRUE(serving::SaveArtifact(*model, path).ok());
     return path;
   };
-  const std::string a = build("a.pvra");
-  const std::string b = build("b.pvra");
+  const std::string a = build("a.pvram");
+  const std::string b = build("b.pvram");
 
   ServeRuntimeOptions options;
   options.swap.spec.mechanism = "Cluster";
@@ -927,7 +927,7 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
 // ------------------------------------------- telemetry wide events
 
 TEST_F(ServeSwapTest, TelemetryRecordsWideEventsPerOutcomeClass) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(100);
   serve::ServeTelemetryOptions tel_options;
@@ -1008,7 +1008,7 @@ TEST_F(ServeSwapTest, TelemetryRecordsWideEventsPerOutcomeClass) {
 }
 
 TEST_F(ServeSwapTest, TelemetryClassifiesShedWithRetryHint) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   serve::ServeTelemetryOptions tel_options;
   tel_options.sample_every = 64;  // shed events bypass the sampler
@@ -1110,7 +1110,7 @@ TEST(ServeTelemetryTest, EventCapDropsAreCountedNeverSilent) {
 // --------------------------------------------------------- statusz
 
 TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
-  const std::string path = BuildArtifact("a.pvra", 21, kEps);
+  const std::string path = BuildArtifact("a.pvram", 21, kEps);
   ManualClock clock;
   clock.Set(50);
   serve::ServeTelemetryOptions tel_options;
@@ -1269,7 +1269,7 @@ TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
 // must be bit-identical to serving every request alone — batching may
 // only change amortization, never a single ranked list.
 TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
-  const std::string path = BuildArtifact("a.pvra", 31, kEps);
+  const std::string path = BuildArtifact("a.pvram", 31, kEps);
 
   // Reference: unbatched runtime on the same artifact, one Recommend per
   // request.
@@ -1336,7 +1336,7 @@ TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
 // A full batch (max_requests reached) closes before the window expires,
 // so the window is a bound, not a floor.
 TEST_F(ServeSwapTest, FullBatchClosesBeforeWindowExpires) {
-  const std::string path = BuildArtifact("a.pvra", 32, kEps);
+  const std::string path = BuildArtifact("a.pvram", 32, kEps);
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
   options.admission.max_concurrency = 2;
@@ -1365,7 +1365,7 @@ TEST_F(ServeSwapTest, FullBatchClosesBeforeWindowExpires) {
 // (epoch, top_n), serves each group in one Recommend, and the slices are
 // bit-identical to finishing the operations one by one.
 TEST_F(ServeSwapTest, FinishAsyncBatchMatchesIndividualFinishes) {
-  const std::string path = BuildArtifact("a.pvra", 33, kEps);
+  const std::string path = BuildArtifact("a.pvram", 33, kEps);
   ManualClock clock;
   clock.Set(10);
   serve::ServeTelemetryOptions tel_options;
@@ -1435,8 +1435,8 @@ TEST_F(ServeSwapTest, FinishAsyncBatchMatchesIndividualFinishes) {
 // first fallback-tier request computes the row once per epoch (traced as
 // artifact.global_average) and every later request reuses it.
 TEST_F(ServeSwapTest, SwapSkipsGlobalAverageUntilFallbackNeedsIt) {
-  const std::string a = BuildArtifact("a.pvra", 41, kEps);
-  const std::string b = BuildArtifact("b.pvra", 42, kEps);
+  const std::string a = BuildArtifact("a.pvram", 41, kEps);
+  const std::string b = BuildArtifact("b.pvram", 42, kEps);
 
   SwapPolicy policy = ClusterPolicy(kEps);
   policy.probe_users = 0;  // probes may touch isolated users; isolate the

@@ -1,13 +1,17 @@
-// Shard-aware correctness suite for the sharded .pvra layout and the
-// mmap zero-copy serve path:
-//   - bit-identity: every mechanism served from a sharded artifact (any
-//     K, mmap or read-fallback, any thread count) reproduces the exact
-//     bytes of the in-memory and monolithic routes, invocation by
-//     invocation;
-//   - byte-determinism of the sharded save across thread counts;
+// Correctness suite for the artifact layout (.pvram manifest + shard
+// files) and the mmap zero-copy serve path:
+//   - bit-identity: every mechanism served from an artifact (any K, mmap
+//     or read-fallback, any thread count) reproduces the exact bytes of
+//     the in-memory route, invocation by invocation;
+//   - byte-determinism of the save across thread counts;
+//   - loading accepts manifests only: shard files, foreign files, files
+//     shorter than a header and future format versions are typed errors;
 //   - corruption fuzzing: truncation, bit flips, missing / resized shard
 //     files, cross-artifact shard mixing and armed fault points each fail
 //     closed with their own status code, never a crash or a partial load;
+//   - crash-safe overwrites: a failure at any write or rename of a save
+//     leaves the previous generation loadable, and the next commit sweeps
+//     the debris;
 //   - the untrusted-header overflow regression (vector sizing must be
 //     validated by division, not a wrappable product);
 //   - shard-aware request routing (ShardedServeRuntime) matching the
@@ -144,6 +148,17 @@ class ShardedArtifactTest : public ::testing::Test {
     return out;
   }
 
+  // Path of shard k of a saved set, as its manifest names it (shard files
+  // are named by content, so tests look the name up rather than build it).
+  static std::string ShardPath(const std::string& manifest, size_t k) {
+    auto mapped = serving::MappedArtifact::Open(manifest, {});
+    EXPECT_TRUE(mapped.ok()) << mapped.status().ToString();
+    if (!mapped.ok() || k >= (*mapped)->shard_table().size()) return "";
+    return (fs::path(manifest).parent_path() /
+            (*mapped)->shard_table()[k].file)
+        .string();
+  }
+
   static constexpr int64_t kTopN = 10;
   static constexpr double kEps = 0.7;
   static constexpr uint64_t kSeed = 42;
@@ -158,15 +173,13 @@ class ShardedArtifactTest : public ::testing::Test {
 
 // ------------------------------------------------------------ bit-identity
 
-// The matrix: six mechanisms x {monolithic, K in {1,2,7}} x {mmap,
-// read-fallback} x thread counts {1,4}, every cell against a single
+// The matrix: six mechanisms x K in {1,2,7} x {mmap, read-fallback} x
+// thread counts {1,4}, every cell against a single
 // 1-thread in-memory reference. The release is frozen at build time and
 // sharding is pure post-processing, so every cell must be BYTE-identical.
 TEST_F(ShardedArtifactTest, AllMechanismsBitIdenticalAcrossShardsAndModes) {
   serving::ArtifactModel model = BuildFullModel();
 
-  const std::string mono = Path("full.pvra");
-  ASSERT_TRUE(serving::SaveArtifact(model, mono).ok());
   const std::vector<int64_t> shard_counts = {1, 2, 7};
   std::vector<std::string> manifests;
   for (int64_t k : shard_counts) {
@@ -190,15 +203,6 @@ TEST_F(ShardedArtifactTest, AllMechanismsBitIdenticalAcrossShardsAndModes) {
 
     for (int64_t threads : {int64_t{1}, int64_t{4}}) {
       ScopedThreadCount scoped(threads);
-      // Monolithic file route.
-      {
-        auto engine = serving::ServingEngine::Load(mono);
-        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-        EXPECT_FALSE(engine->mmap_backed());
-        EXPECT_EQ(ServeTwice(&*engine, mechanism), reference)
-            << mechanism << " monolithic threads=" << threads;
-      }
-      // Sharded routes: every K, mapped and read-fallback.
       for (size_t i = 0; i < manifests.size(); ++i) {
         for (bool use_mmap : {true, false}) {
           serving::MapOptions map_options;
@@ -240,8 +244,7 @@ TEST_F(ShardedArtifactTest, ShardedBytesDeterministicAcrossThreadCounts) {
     auto mapped = serving::MappedArtifact::Open(path, {});
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     for (uint32_t s = 0; s < (*mapped)->shard_count(); ++s) {
-      files.push_back(
-          ReadAllBytes(path + ".shard" + std::to_string(s)));
+      files.push_back(ReadAllBytes(ShardPath(path, s)));
     }
     for (const std::string& bytes : files) ASSERT_FALSE(bytes.empty());
     if (first.empty()) {
@@ -283,25 +286,61 @@ TEST_F(ShardedArtifactTest, ShardCountClampsToClusterCount) {
   EXPECT_EQ(ServeTwice(&*engine, "Cluster"), reference);
 }
 
-// Load() sniffs the magic: manifests and monolithic artifacts both load,
-// a raw shard file is refused with instructions, not misparsed.
-TEST_F(ShardedArtifactTest, LoadSniffsMagicAndRefusesRawShardFiles) {
+// Load() serves manifests only: a raw shard file is refused with
+// instructions, and anything else that is not a manifest — a foreign file,
+// one shorter than the 4-byte magic, an empty one — is a typed parse
+// error, never a misparse or a crash.
+TEST_F(ShardedArtifactTest, LoadAcceptsOnlyManifests) {
   serving::ArtifactModel model = BuildFullModel();
-  const std::string mono = Path("m.pvra");
   const std::string manifest = Path("m.pvram");
-  ASSERT_TRUE(serving::SaveArtifact(model, mono).ok());
   ASSERT_TRUE(
       serving::SaveShardedArtifact(model, manifest, {.shards = 2}).ok());
 
-  EXPECT_TRUE(serving::ServingEngine::Load(mono).ok());
   auto sharded = serving::ServingEngine::Load(manifest);
   ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
   EXPECT_EQ(sharded->shard_count(), 2u);
 
-  auto shard = serving::ServingEngine::Load(manifest + ".shard0");
+  auto shard = serving::ServingEngine::Load(ShardPath(manifest, 0));
   ASSERT_FALSE(shard.ok());
   EXPECT_EQ(shard.status().code(), StatusCode::kInvalidArgument)
       << shard.status().ToString();
+
+  const std::string junk = Path("junk.pvram");
+  for (const std::string& bytes :
+       {std::string("definitely not a model artifact"), std::string("PVR"),
+        std::string("P"), std::string()}) {
+    WriteAllBytes(junk, bytes);
+    auto engine = serving::ServingEngine::Load(junk);
+    ASSERT_FALSE(engine.ok()) << bytes.size();
+    EXPECT_EQ(engine.status().code(), StatusCode::kParseError)
+        << engine.status().ToString();
+  }
+  EXPECT_EQ(serving::ServingEngine::Load(Path("missing.pvram")).status().code(),
+            StatusCode::kNotFound);
+}
+
+// Overwriting a set commits with the manifest rename and then sweeps every
+// "<manifest>.shard*" file the new manifest does not name: the previous
+// generation's shards (here K=3 -> K=1) and debris of failed saves.
+TEST_F(ShardedArtifactTest, OverwriteSweepsStaleShardFiles) {
+  const std::string manifest = Path("gen.pvram");
+  ASSERT_TRUE(serving::SaveShardedArtifact(BuildFullModel(kSeed), manifest,
+                                           {.shards = 3})
+                  .ok());
+  WriteAllBytes(manifest + ".shard7.0badf00d", "orphan of a failed save");
+  WriteAllBytes(manifest + ".shard0.0badf00d.tmp", "torn shard temp");
+  ASSERT_TRUE(serving::SaveArtifact(BuildFullModel(kSeed + 1), manifest).ok());
+
+  std::vector<std::string> shard_files;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("gen.pvram.shard", 0) == 0) shard_files.push_back(name);
+  }
+  ASSERT_EQ(shard_files.size(), 1u);
+  EXPECT_EQ(Path(shard_files[0]), ShardPath(manifest, 0));
+  auto engine = serving::ServingEngine::Load(manifest);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_EQ(engine->model().provenance.seed, kSeed + 1);
 }
 
 // PRIVREC_NO_MMAP flips the default map mode without changing a byte of
@@ -359,7 +398,10 @@ TEST_F(ShardedArtifactTest, FallbackReadRetriesTransientFaultsBitIdentically) {
     ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
     EXPECT_FALSE((*mapped)->mmap_backed());
     EXPECT_GE(injector.HitCount("artifact.fallback_read"), 3);
-    EXPECT_GE(retries.value() - retries_before, 3);
+    // Counters read 0 in PRIVREC_OBS=OFF builds.
+    if (obs::kCompiledIn) {
+      EXPECT_GE(retries.value() - retries_before, 3);
+    }
     auto engine = serving::ServingEngine::FromMapped(*mapped);
     ASSERT_TRUE(engine.ok());
     EXPECT_EQ(ServeTwice(&*engine, "Cluster"), reference);
@@ -465,6 +507,50 @@ TEST_F(ShardedCorruptionTest, TruncatedManifestIsParseError) {
   }
 }
 
+// The version field is the u32 after the magic. A manifest or shard from
+// a future format is refused as version skew, not parsed as damage.
+TEST_F(ShardedCorruptionTest, FutureFormatVersionIsVersionMismatch) {
+  const std::string manifest = SaveSharded("v.pvram");
+  const std::string shard1 = ShardPath(manifest, 1);
+  for (const std::string& file : {manifest, shard1}) {
+    const std::string clean = ReadAllBytes(file);
+    std::string bumped = clean;
+    bumped[4] = static_cast<char>(bumped[4] + 1);
+    WriteAllBytes(file, bumped);
+    auto engine = serving::ServingEngine::Load(manifest);
+    ASSERT_FALSE(engine.ok()) << file;
+    EXPECT_EQ(engine.status().code(), StatusCode::kVersionMismatch)
+        << engine.status().ToString();
+    WriteAllBytes(file, clean);
+  }
+  EXPECT_TRUE(serving::ServingEngine::Load(manifest).ok());
+}
+
+// A manifest whose section table lost a required section (its id
+// rewritten to one the reader does not know) is a parse error naming it.
+TEST_F(ShardedCorruptionTest, MissingRequiredManifestSectionIsParseError) {
+  const std::string manifest = SaveSharded("nosec.pvram");
+  std::string bytes = ReadAllBytes(manifest);
+  auto view = serving::ParseAlignedContainer(
+      bytes.data(), bytes.size(), serving::kManifestMagic,
+      serving::kShardFormatVersion, "test manifest");
+  ASSERT_TRUE(view.ok()) << view.status().ToString();
+  for (size_t k = 0; k < view->sections.size(); ++k) {
+    if (view->sections[k].id !=
+        static_cast<uint32_t>(serving::ManifestSectionId::kClusterOf)) {
+      continue;
+    }
+    const uint32_t unknown = 99;
+    std::memcpy(&bytes[16 + 32 * k], &unknown, sizeof(unknown));
+  }
+  WriteAllBytes(manifest, bytes);
+  auto engine = serving::ServingEngine::Load(manifest);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), StatusCode::kParseError);
+  EXPECT_NE(engine.status().message().find("cluster_of"), std::string::npos)
+      << engine.status().ToString();
+}
+
 TEST_F(ShardedCorruptionTest, BitFlippedManifestPayloadIsDataLoss) {
   const std::string manifest = SaveSharded("mflip.pvram");
   FlipPayloadBit(manifest, serving::kManifestMagic,
@@ -481,21 +567,22 @@ TEST_F(ShardedCorruptionTest, BitFlippedShardPayloadIsDataLoss) {
     const std::string manifest =
         SaveSharded("sflip" + std::to_string(static_cast<int>(section)) +
                     ".pvram");
-    FlipPayloadBit(manifest + ".shard1", serving::kShardMagic,
+    FlipPayloadBit(ShardPath(manifest, 1), serving::kShardMagic,
                    static_cast<uint32_t>(section));
     EXPECT_EQ(OpenCode(manifest), StatusCode::kDataLoss)
         << "section " << static_cast<int>(section);
   }
   const std::string manifest = SaveSharded("sframe.pvram");
-  std::string bytes = ReadAllBytes(manifest + ".shard0");
+  const std::string shard0 = ShardPath(manifest, 0);
+  std::string bytes = ReadAllBytes(shard0);
   bytes[16 + 24] ^= 0x01;  // first table entry's crc32 field
-  WriteAllBytes(manifest + ".shard0", bytes);
+  WriteAllBytes(shard0, bytes);
   EXPECT_EQ(OpenCode(manifest), StatusCode::kDataLoss);
 }
 
 TEST_F(ShardedCorruptionTest, MissingShardFileIsNotFound) {
   const std::string manifest = SaveSharded("gone.pvram");
-  fs::remove(manifest + ".shard1");
+  fs::remove(ShardPath(manifest, 1));
   EXPECT_EQ(OpenCode(manifest), StatusCode::kNotFound);
 }
 
@@ -503,9 +590,10 @@ TEST_F(ShardedCorruptionTest, ResizedShardIsFailedPrecondition) {
   // Extra bytes (a concatenation accident, a foreign shard of another
   // size): the manifest records each shard's exact byte size.
   const std::string manifest = SaveSharded("fat.pvram");
-  std::string bytes = ReadAllBytes(manifest + ".shard0");
+  const std::string shard0 = ShardPath(manifest, 0);
+  std::string bytes = ReadAllBytes(shard0);
   bytes.append(64, '\0');
-  WriteAllBytes(manifest + ".shard0", bytes);
+  WriteAllBytes(shard0, bytes);
   EXPECT_EQ(OpenCode(manifest), StatusCode::kFailedPrecondition);
 }
 
@@ -524,7 +612,7 @@ TEST_F(ShardedCorruptionTest, ForeignDatasetShardIsGraphMismatch) {
       serving::SaveShardedArtifact(model, manifest, {.shards = 2}).ok());
   ASSERT_TRUE(
       serving::SaveShardedArtifact(foreign, other, {.shards = 2}).ok());
-  fs::copy_file(other + ".shard0", manifest + ".shard0",
+  fs::copy_file(ShardPath(other, 0), ShardPath(manifest, 0),
                 fs::copy_options::overwrite_existing);
   EXPECT_EQ(OpenCode(manifest), StatusCode::kGraphMismatch);
 }
@@ -535,7 +623,7 @@ TEST_F(ShardedCorruptionTest, CrossBuildShardIsProvenanceMismatch) {
   // artifact token must reject the splice with its own code.
   const std::string manifest = SaveSharded("build_a.pvram", kSeed);
   const std::string other = SaveSharded("build_b.pvram", kSeed + 1);
-  fs::copy_file(other + ".shard1", manifest + ".shard1",
+  fs::copy_file(ShardPath(other, 1), ShardPath(manifest, 1),
                 fs::copy_options::overwrite_existing);
   EXPECT_EQ(OpenCode(manifest), StatusCode::kProvenanceMismatch);
 }
@@ -544,7 +632,7 @@ TEST_F(ShardedCorruptionTest, ShardIndexMixupFailsClosed) {
   // Shard 1 copied over shard 0 of the SAME build: caught by the size
   // gate or the header-vs-table gate, both kFailedPrecondition.
   const std::string manifest = SaveSharded("swap.pvram");
-  fs::copy_file(manifest + ".shard1", manifest + ".shard0",
+  fs::copy_file(ShardPath(manifest, 1), ShardPath(manifest, 0),
                 fs::copy_options::overwrite_existing);
   EXPECT_EQ(OpenCode(manifest), StatusCode::kFailedPrecondition);
 }

@@ -34,6 +34,7 @@
 #include <gtest/gtest.h>
 
 #include "artifact/serving.h"
+#include "artifact/shard_layout.h"
 #include "common/fault_injection.h"
 #include "common/random.h"
 #include "community/incremental.h"
@@ -182,11 +183,17 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
     return std::move(opened).value();
   };
 
+  // The newest published artifact, for the rollback drill.
+  std::string last_artifact;
+
   // Publishes one snapshot, records its oracle entry, and swaps it live.
   // Returns false when Republish failed (an injected crash).
   auto publish = [&](stream::StreamPipeline* pipeline) -> bool {
     auto outcome = pipeline->Republish(probe_users, kTopN);
     if (!outcome.ok()) return false;
+    if (!outcome->artifact_path.empty()) {
+      last_artifact = outcome->artifact_path;
+    }
     auto engine = serving::ServingEngine::Load(outcome->artifact_path);
     if (!engine.ok()) {
       fail("published artifact does not load: " +
@@ -315,7 +322,6 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
   int64_t rollback_drills = 0;
   size_t delta_rotation = 0;
   size_t publish_rotation = 0;
-  std::string last_artifact;
 
   // Simulates the kill: the pipeline object dies mid-protocol, faults are
   // cleared (the "machine" came back), and the reopened pipeline must be
@@ -428,10 +434,29 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
       ++rollback_drills;
       const int64_t epoch_before = runtime.swapper().current_epoch();
       std::string bytes = ReadAllBytes(last_artifact);
-      if (bytes.size() > 400) {
-        bytes[bytes.size() / 2] =
-            static_cast<char>(bytes[bytes.size() / 2] ^ 0x40);
-        const std::string corrupt = (dir / "corrupt.pvra").string();
+      // Flip a bit inside the manifest's cluster_of payload (located via
+      // the section table: alignment padding is not CRC-covered). The copy
+      // sits beside the original so its shard names resolve, and only the
+      // payload CRC can reject it.
+      auto view = serving::ParseAlignedContainer(
+          bytes.data(), bytes.size(), serving::kManifestMagic,
+          serving::kShardFormatVersion, "drill manifest");
+      const serving::AlignedSectionView* cluster_of = nullptr;
+      if (view.ok()) {
+        for (const serving::AlignedSectionView& sec : view->sections) {
+          if (sec.id == static_cast<uint32_t>(
+                            serving::ManifestSectionId::kClusterOf)) {
+            cluster_of = &sec;
+          }
+        }
+      }
+      if (cluster_of == nullptr || cluster_of->size == 0) {
+        fail("rollback drill could not locate the manifest's cluster_of");
+      } else {
+        const uint64_t at = cluster_of->offset + cluster_of->size / 2;
+        bytes[at] = static_cast<char>(bytes[at] ^ 0x40);
+        const std::string corrupt =
+            options.session.artifact_dir + "/corrupt.pvram";
         WriteAllBytes(corrupt, bytes);
         Status status = runtime.Activate(corrupt);
         if (status.ok()) {
@@ -440,12 +465,6 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
           fail("rollback drill moved the live epoch");
         }
       }
-    }
-    // Track the newest on-disk artifact for the drill.
-    const int64_t snapshot = pipeline->session().snapshots_processed();
-    if (snapshot > 0) {
-      last_artifact = options.session.artifact_dir + "/snapshot_" +
-                      std::to_string(snapshot - 1) + ".pvra";
     }
   }
 
