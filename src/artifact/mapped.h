@@ -42,8 +42,8 @@ struct MapOptions {
   // size).
   bool use_mmap = true;
   // Verify every payload CRC at open. Leaving this on is the default —
-  // with the slicing-by-8 CRC the full pass is still an order of
-  // magnitude cheaper than a monolithic deserialize.
+  // with the slicing-by-8 CRC the full pass is one cheap sequential read
+  // of bytes the first requests would fault in anyway.
   bool verify_crc = true;
 };
 

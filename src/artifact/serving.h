@@ -86,8 +86,9 @@ class ServingEngine {
   int64_t num_items() const { return model_.meta.num_items; }
   int64_t num_clusters() const { return num_clusters_; }
 
-  // Sharding topology (1 shard for monolithic/owned artifacts). The
-  // sharded runtime routes each user to the shard owning their cluster.
+  // Sharding topology: the release's shard count (1 for an engine built
+  // FromModel) and the shard owning each user's cluster, as reported by
+  // statusz and the wide events.
   uint32_t shard_count() const { return shard_count_; }
   int32_t ShardOfUser(graph::NodeId u) const {
     return shard_of_cluster_[static_cast<size_t>(

@@ -27,12 +27,6 @@ ServeFlagSettings ApplyServeFlags(FlagParser& flags) {
   s.breaker_cooldown_ms =
       flags.GetInt("serve-breaker-cooldown-ms", s.breaker_cooldown_ms);
   s.reload_period = flags.GetInt("serve-reload-period", s.reload_period);
-  s.batch_window_ms =
-      flags.GetInt("serve-batch-window-ms", s.batch_window_ms);
-  s.batch_max_requests =
-      flags.GetInt("serve-batch-max-requests", s.batch_max_requests);
-  s.batch_max_users =
-      flags.GetInt("serve-batch-max-users", s.batch_max_users);
   return s;
 }
 

@@ -3,10 +3,10 @@
 // A RequestTelemetry record is the "one event per request" unit of the
 // serving telemetry subsystem: every field an operator needs to explain a
 // single slow or rejected request — identity (deterministic request id,
-// epoch, provenance seed), admission outcome and queue wait, the shards
-// touched, the degradation tier, and a queue/route/reconstruct latency
-// breakdown. The serve runtime fills one per request and hands it to a
-// sink (serve/telemetry.h); this header owns only the plain value type,
+// epoch, provenance seed), admission outcome and queue wait, the
+// release's shard count, the degradation tier, and a queue/reconstruct
+// latency breakdown. The serve runtime fills one per request and hands it
+// to a sink (serve/telemetry.h); this header owns only the plain value type,
 // the deterministic sampling rule, and the JSONL rendering, so it is
 // always compiled (PRIVREC_OBS=OFF included) and never touches the
 // metrics registry or the tracer.
@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace privrec::obs {
 
@@ -72,20 +71,16 @@ struct RequestTelemetry {
   AdmissionOutcome admission = AdmissionOutcome::kNone;
 
   // Latency breakdown, all on the injected clock: time parked in the
-  // admission queue, shard split/scatter overhead (sharded path only),
-  // and recommender reconstruction time.
+  // admission queue and recommender reconstruction time.
   int64_t queue_wait_ms = 0;
-  double route_ms = 0.0;
   double reconstruct_ms = 0.0;
 
   // Identity of the epoch that served (or would have served) the
   // request.
   int64_t epoch = 0;
   uint64_t artifact_seed = 0;
+  // Shards of the serving epoch's release (1 for a one-shard release).
   int64_t shard_count = 0;
-  // Shard ids the routed path actually walked; empty on the delegated /
-  // monolithic path.
-  std::vector<int64_t> shards_touched;
 
   // Request shape.
   int64_t users = 0;
@@ -97,13 +92,6 @@ struct RequestTelemetry {
   bool degraded = false;
   int64_t users_degraded = 0;
   int64_t retry_after_ms = 0;
-
-  // Cross-request batching occupancy: how many requests (and total users)
-  // shared the reconstruction call that served this one. 1/users on the
-  // unbatched direct path; 0 when the request never reached a
-  // recommender (rejection, validation error, fallback).
-  int64_t batch_requests = 0;
-  int64_t batch_users = 0;
 };
 
 // Deterministic sampling policy: every non-OK, degraded, or slow request

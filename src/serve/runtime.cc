@@ -38,11 +38,7 @@ ServeRuntime::ServeRuntime(ServeRuntimeOptions options)
                                       : SteadyClock::Instance()),
       swapper_(options.swap),
       admission_(options.admission, clock_),
-      reload_breaker_("artifact_reload", options.breaker, clock_) {
-  if (options_.batch.window_ms > 0) {
-    batcher_ = std::make_unique<RequestBatcher>(options_.batch, clock_);
-  }
-}
+      reload_breaker_("artifact_reload", options.breaker, clock_) {}
 
 Status ServeRuntime::Activate(const std::string& path) {
   return reload_breaker_.Run([&] { return swapper_.Activate(path); });
@@ -75,36 +71,17 @@ ServeResponse ServeRuntime::Fallback(
 
 void ServeRuntime::ServeFromEpoch(
     const std::shared_ptr<EpochSnapshot>& epoch, const ServeRequest& request,
-    ServeResponse* response, obs::RequestTelemetry* event,
-    bool use_batcher) {
+    ServeResponse* response) {
   if (epoch->recommender->ConcurrentSafe()) {
-    if (use_batcher && batcher_ != nullptr) {
-      // Per-user independence makes the merged call bit-identical to the
-      // per-request calls it replaces; only amortization changes.
-      RequestBatcher::Slice slice = batcher_->Submit(
-          epoch, request.users, request.top_n,
-          [](EpochSnapshot& e, const std::vector<graph::NodeId>& all,
-             int64_t top_n) { return e.recommender->Recommend(all, top_n); });
-      response->batch = std::move(slice.batch);
-      if (event != nullptr) {
-        event->batch_requests = slice.batch_requests;
-        event->batch_users = slice.batch_users;
-      }
-      return;
-    }
     response->batch =
         epoch->recommender->Recommend(request.users, request.top_n);
-  } else {
-    // Fresh-noise mechanisms consume their RNG stream per invocation and
-    // must see exactly one call per request — never batched, serialized.
-    std::lock_guard<std::mutex> lock(epoch->serve_mu);
-    response->batch =
-        epoch->recommender->Recommend(request.users, request.top_n);
+    return;
   }
-  if (event != nullptr) {
-    event->batch_requests = 1;
-    event->batch_users = static_cast<int64_t>(request.users.size());
-  }
+  // Fresh-noise mechanisms consume their RNG stream per invocation and
+  // must see exactly one call per request, serialized.
+  std::lock_guard<std::mutex> lock(epoch->serve_mu);
+  response->batch =
+      epoch->recommender->Recommend(request.users, request.top_n);
 }
 
 void ServeRuntime::EmitTelemetry(obs::RequestTelemetry& event,
@@ -183,8 +160,7 @@ ServeResponse ServeRuntime::Handle(const ServeRequest& request) {
     return fallback;
   }
 
-  ServeFromEpoch(epoch, request, &response, &event,
-                 /*use_batcher=*/true);
+  ServeFromEpoch(epoch, request, &response);
   ticket->Release();
 
   const int64_t end_ms = clock_->NowMs();
@@ -284,8 +260,7 @@ ServeResponse ServeRuntime::FinishAsync(AsyncServe& op) {
   PRIVREC_CHECK_MSG(op.admitted,
                     "FinishAsync on an operation that is still queued");
   const int64_t serve_start_ms = clock_->NowMs();
-  ServeFromEpoch(op.epoch, op.request, &op.response, &op.telemetry,
-                 /*use_batcher=*/false);
+  ServeFromEpoch(op.epoch, op.request, &op.response);
   op.ticket.Release();
   const int64_t end_ms = clock_->NowMs();
   op.telemetry.reconstruct_ms =
@@ -294,88 +269,6 @@ ServeResponse ServeRuntime::FinishAsync(AsyncServe& op) {
   op.done = true;
   EmitAsyncTelemetry(op);
   return op.response;
-}
-
-void ServeRuntime::FinishAsyncBatch(const std::vector<AsyncServe*>& ops) {
-  // Partition: already-done operations are skipped, fresh-noise
-  // (non-ConcurrentSafe) operations finish on the serialized
-  // one-invocation-per-request path, the rest are batchable.
-  std::vector<AsyncServe*> batchable;
-  batchable.reserve(ops.size());
-  for (AsyncServe* op : ops) {
-    if (op == nullptr || op->done) continue;
-    PRIVREC_CHECK_MSG(
-        op->admitted,
-        "FinishAsyncBatch on an operation that is still queued");
-    if (op->epoch->recommender->ConcurrentSafe()) {
-      batchable.push_back(op);
-    } else {
-      FinishAsync(*op);
-    }
-  }
-
-  std::vector<bool> used(batchable.size(), false);
-  for (size_t i = 0; i < batchable.size(); ++i) {
-    if (used[i]) continue;
-    // Group operations that pinned the same epoch and want the same
-    // top_n; arrival order within the vector is preserved.
-    std::vector<AsyncServe*> group{batchable[i]};
-    used[i] = true;
-    for (size_t j = i + 1; j < batchable.size(); ++j) {
-      if (!used[j] &&
-          batchable[j]->epoch.get() == batchable[i]->epoch.get() &&
-          batchable[j]->request.top_n == batchable[i]->request.top_n) {
-        group.push_back(batchable[j]);
-        used[j] = true;
-      }
-    }
-
-    const int64_t serve_start_ms = clock_->NowMs();
-    std::vector<graph::NodeId> all;
-    for (const AsyncServe* op : group) {
-      all.insert(all.end(), op->request.users.begin(),
-                 op->request.users.end());
-    }
-    core::RecommendedBatch merged =
-        group.front()->epoch->recommender->Recommend(
-            all, group.front()->request.top_n);
-    PRIVREC_CHECK_MSG(
-        merged.lists.size() == all.size() &&
-            merged.degradation.size() == all.size(),
-        "batched recommender returned a malformed merged batch");
-    const int64_t end_ms = clock_->NowMs();
-    async_batches_.fetch_add(1, std::memory_order_relaxed);
-    async_batched_requests_.fetch_add(static_cast<int64_t>(group.size()),
-                                      std::memory_order_relaxed);
-
-    // Scatter: each operation takes its contiguous slice of the merged
-    // result. Per-user independence of ConcurrentSafe recommenders makes
-    // the slices bit-identical to per-operation FinishAsync calls.
-    size_t offset = 0;
-    for (AsyncServe* op : group) {
-      const size_t n = op->request.users.size();
-      op->response.batch.report = merged.report;
-      op->response.batch.report.users_degraded = 0;
-      op->response.batch.lists.resize(n);
-      op->response.batch.degradation.resize(n);
-      for (size_t k = 0; k < n; ++k) {
-        op->response.batch.lists[k] = std::move(merged.lists[offset + k]);
-        op->response.batch.degradation[k] = merged.degradation[offset + k];
-        if (op->response.batch.degradation[k].degraded()) {
-          ++op->response.batch.report.users_degraded;
-        }
-      }
-      offset += n;
-      op->ticket.Release();
-      op->telemetry.reconstruct_ms =
-          static_cast<double>(end_ms - serve_start_ms);
-      op->telemetry.batch_requests = static_cast<int64_t>(group.size());
-      op->telemetry.batch_users = static_cast<int64_t>(all.size());
-      RequestLatency().Observe(static_cast<double>(end_ms - op->arrival_ms));
-      op->done = true;
-      EmitAsyncTelemetry(*op);
-    }
-  }
 }
 
 }  // namespace privrec::serve

@@ -10,6 +10,11 @@
 //     reload failures the breaker opens and later reloads fail fast until
 //     a half-open probe (with bounded retries) succeeds.
 //
+// Every admitted request, whether from Handle() or the async path, is
+// served by exactly one Recommend call on its pinned epoch, whatever the
+// release's shard count. Requests are never merged: reconstruction
+// shares no work across users, so there is nothing to amortize.
+//
 // Shed or expired requests are not necessarily empty-handed: with
 // `degraded_fallback` on, the response still carries the global-average
 // fallback ranking (core/degradation kLoadShed tier) computed from the
@@ -31,7 +36,6 @@
 #include "graph/ids.h"
 #include "obs/wide_event.h"
 #include "serve/admission.h"
-#include "serve/batcher.h"
 #include "serve/circuit_breaker.h"
 #include "serve/clock.h"
 #include "serve/swapper.h"
@@ -48,12 +52,6 @@ struct ServeRuntimeOptions {
   // Answer shed/expired requests from the global-average fallback tier of
   // the pinned epoch instead of returning the bare rejection.
   bool degraded_fallback = true;
-  // Cross-request coalescing (serve/batcher.h). window_ms = 0 (the
-  // default) keeps the historical one-request-one-Recommend path; > 0
-  // merges concurrent Handle() calls that pinned the same epoch into one
-  // reconstruction. Only ConcurrentSafe recommenders are ever batched, so
-  // the merge is bit-identical to serving each request alone.
-  BatchOptions batch;
   // Null = SteadyClock; tests inject a ManualClock shared with the
   // admission controller and the breaker.
   const Clock* clock = nullptr;
@@ -158,16 +156,6 @@ class ServeRuntime {
   // slot. For an already-done operation this just returns the response.
   ServeResponse FinishAsync(AsyncServe& op);
 
-  // Serves a group of admitted operations together: operations that
-  // pinned the same epoch, ask for the same top_n, and carry a
-  // ConcurrentSafe recommender are concatenated into one Recommend call
-  // and the merged result is sliced back per operation (bit-identical to
-  // finishing each alone). Everything else falls through to FinishAsync.
-  // The single-threaded counterpart of the threaded Handle() batcher —
-  // the open-loop harness collects due operations per tick and amortizes
-  // reconstruction across them without parking threads.
-  void FinishAsyncBatch(const std::vector<AsyncServe*>& ops);
-
   const ArtifactSwapper& swapper() const { return swapper_; }
   const CircuitBreaker& reload_breaker() const { return reload_breaker_; }
   const AdmissionController& admission() const { return admission_; }
@@ -179,43 +167,27 @@ class ServeRuntime {
   const Clock* clock() const { return clock_; }
   const ServeTelemetry* telemetry() const { return options_.telemetry; }
 
-  // Null when batching is disabled (batch.window_ms == 0).
-  const RequestBatcher* batcher() const { return batcher_.get(); }
-
-  // Async-path batching counters (FinishAsyncBatch groups).
-  int64_t async_batches() const {
-    return async_batches_.load(std::memory_order_relaxed);
-  }
-  int64_t async_batched_requests() const {
-    return async_batched_requests_.load(std::memory_order_relaxed);
-  }
-
   // Live status snapshot (serve/statusz.h renders it as text or JSON):
   // pinned epoch identity, shard map, breaker/admission state, ε gauges,
   // telemetry windows. `now_ms` < 0 reads the runtime's clock.
   RuntimeIntrospection Introspect(int64_t now_ms = -1) const;
 
+ private:
   // Resolves the wide-event id for a request: the request's own id when
-  // nonzero, else the next value of the runtime's sequence. Public so
-  // composing runtimes (sharded routing) share one id space.
+  // nonzero, else the next value of the runtime's sequence.
   uint64_t ResolveRequestId(const ServeRequest& request) {
     if (request.request_id != 0) return request.request_id;
     return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
-
- private:
   ServeResponse Fallback(Status status,
                          const std::shared_ptr<EpochSnapshot>& epoch,
                          const ServeRequest& request,
                          int64_t retry_after_ms);
-  // `use_batcher` routes ConcurrentSafe requests through the window
-  // batcher when one is configured. Only the threaded Handle() path opts
-  // in: a single-threaded async driver parked in the batcher would wait
-  // out every window alone, so FinishAsync serves directly and cross-
-  // request amortization on that path comes from FinishAsyncBatch.
+  // The one reconstruction call of a request: a single Recommend on the
+  // pinned epoch, serialized on its serve_mu only for the fresh-noise
+  // (non-ConcurrentSafe) mechanisms.
   void ServeFromEpoch(const std::shared_ptr<EpochSnapshot>& epoch,
-                      const ServeRequest& request, ServeResponse* response,
-                      obs::RequestTelemetry* event, bool use_batcher);
+                      const ServeRequest& request, ServeResponse* response);
   // Finalizes and hands the wide event to the telemetry sink (no-op when
   // no sink is configured).
   void EmitTelemetry(obs::RequestTelemetry& event,
@@ -227,10 +199,7 @@ class ServeRuntime {
   ArtifactSwapper swapper_;
   AdmissionController admission_;
   CircuitBreaker reload_breaker_;
-  std::unique_ptr<RequestBatcher> batcher_;
   std::atomic<uint64_t> next_request_id_{0};
-  std::atomic<int64_t> async_batches_{0};
-  std::atomic<int64_t> async_batched_requests_{0};
 };
 
 }  // namespace privrec::serve

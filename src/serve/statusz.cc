@@ -7,7 +7,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/runtime.h"
-#include "serve/sharded_runtime.h"
 #include "serve/telemetry.h"
 
 namespace privrec::serve {
@@ -96,22 +95,9 @@ RuntimeIntrospection ServeRuntime::Introspect(int64_t now_ms) const {
 
   status.kernel_dispatch =
       kernels::DispatchLevelName(kernels::ActiveDispatchLevel());
-  status.batches_formed = async_batches();
-  status.batched_requests = async_batched_requests();
-  if (batcher_ != nullptr) {
-    status.batches_formed += batcher_->batches_formed();
-    status.batched_requests += batcher_->requests_batched();
-  }
 
   FillRegistrySlices(&status);
   FillTelemetry(options_.telemetry, &status);
-  return status;
-}
-
-RuntimeIntrospection ShardedServeRuntime::Introspect(
-    int64_t now_ms) const {
-  RuntimeIntrospection status = runtime_.Introspect(now_ms);
-  status.sharded_requests = sharded_requests();
   return status;
 }
 
@@ -162,19 +148,7 @@ std::string StatuszText(const RuntimeIntrospection& status) {
          " queued, hold est " + JsonNumber(status.admission_hold_ms) +
          " ms, retry hint " +
          std::to_string(status.admission_retry_hint_ms) + " ms\n";
-  if (status.sharded_requests >= 0) {
-    out += "routing:    " + std::to_string(status.sharded_requests) +
-           " shard-routed request(s)\n";
-  }
-  out += "kernels:    dispatch " + status.kernel_dispatch + ", " +
-         std::to_string(status.batches_formed) + " batch(es) serving " +
-         std::to_string(status.batched_requests) + " request(s)";
-  if (status.batches_formed > 0) {
-    out += ", occupancy " +
-           JsonNumber(static_cast<double>(status.batched_requests) /
-                      static_cast<double>(status.batches_formed));
-  }
-  out += "\n";
+  out += "kernels:    dispatch " + status.kernel_dispatch + "\n";
   for (const obs::GaugeSample& g : status.epsilon_gauges) {
     out += "epsilon:    " + g.name + " = " + JsonNumber(g.value) + "\n";
   }
@@ -260,18 +234,8 @@ std::string StatuszJson(const RuntimeIntrospection& status) {
          ", \"retry_hint_ms\": " +
          std::to_string(status.admission_retry_hint_ms) + "},\n";
 
-  out += "  \"sharded_requests\": ";
-  out += status.sharded_requests >= 0
-             ? std::to_string(status.sharded_requests)
-             : "null";
-  out += ",\n";
-
   out += "  \"kernels\": {\"dispatch\": \"" +
-         JsonEscape(status.kernel_dispatch) +
-         "\", \"batches_formed\": " +
-         std::to_string(status.batches_formed) +
-         ", \"batched_requests\": " +
-         std::to_string(status.batched_requests) + "},\n";
+         JsonEscape(status.kernel_dispatch) + "\"},\n";
 
   out += "  \"epsilon_gauges\": {";
   for (size_t i = 0; i < status.epsilon_gauges.size(); ++i) {

@@ -445,20 +445,16 @@ obs::RequestTelemetry GoldenEvent() {
   event.outcome = obs::RequestOutcome::kOk;
   event.admission = obs::AdmissionOutcome::kQueued;
   event.queue_wait_ms = 1;
-  event.route_ms = 0.5;
   event.reconstruct_ms = 4.0;
   event.epoch = 3;
   event.artifact_seed = 42;
   event.shard_count = 2;
-  event.shards_touched = {0, 1};
   event.users = 4;
   event.top_n = 10;
   event.deadline_ms = 400;
   event.degraded = false;
   event.users_degraded = 0;
   event.retry_after_ms = 0;
-  event.batch_requests = 2;
-  event.batch_users = 6;
   return event;
 }
 
@@ -467,12 +463,10 @@ TEST(WideEventTest, JsonGolden) {
             "{\"type\": \"request\", \"id\": 7, \"arrival_ms\": 100, "
             "\"resolve_ms\": 106, \"latency_ms\": 6.5, "
             "\"outcome\": \"ok\", \"admission\": \"queued\", "
-            "\"queue_ms\": 1, \"route_ms\": 0.5, "
-            "\"reconstruct_ms\": 4, \"epoch\": 3, \"artifact_seed\": 42, "
-            "\"shard_count\": 2, \"shards\": [0, 1], \"users\": 4, "
+            "\"queue_ms\": 1, \"reconstruct_ms\": 4, \"epoch\": 3, "
+            "\"artifact_seed\": 42, \"shard_count\": 2, \"users\": 4, "
             "\"top_n\": 10, \"deadline_ms\": 400, \"degraded\": false, "
-            "\"users_degraded\": 0, \"retry_after_ms\": 0, "
-            "\"batch_requests\": 2, \"batch_users\": 6}");
+            "\"users_degraded\": 0, \"retry_after_ms\": 0}");
 }
 
 TEST(WideEventTest, SamplingKeepsEveryInterestingRequest) {

@@ -886,8 +886,8 @@ TEST(ServeIsolatedUserTest, FallbackRankingStableAcrossHotSwap) {
   fsn::remove_all(dir);
 }
 
-// Satellite: the --serve-* flags are consumed by ApplyServeFlags, so the
-// typo suggester knows the vocabulary.
+// The --serve-* flags are consumed by ApplyServeFlags, so the typo
+// suggester knows the vocabulary, and a removed flag is an unknown flag.
 TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   const char* argv[] = {"driver",
                         "--serve-deadline-ms=250",
@@ -895,11 +895,8 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
                         "--serve-max-concurrency=2",
                         "--serve-breaker-failures=5",
                         "--serve-breaker-cooldown-ms=750",
-                        "--serve-reload-period=4",
-                        "--serve-batch-window-ms=5",
-                        "--serve-batch-max-requests=3",
-                        "--serve-batch-max-users=64"};
-  FlagParser flags(10, const_cast<char**>(argv));
+                        "--serve-reload-period=4"};
+  FlagParser flags(7, const_cast<char**>(argv));
   ServeFlagSettings settings = ApplyServeFlags(flags);
   EXPECT_TRUE(flags.Validate());
   EXPECT_EQ(settings.deadline_ms, 250);
@@ -908,9 +905,12 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(settings.breaker_failures, 5);
   EXPECT_EQ(settings.breaker_cooldown_ms, 750);
   EXPECT_EQ(settings.reload_period, 4);
-  EXPECT_EQ(settings.batch_window_ms, 5);
-  EXPECT_EQ(settings.batch_max_requests, 3);
-  EXPECT_EQ(settings.batch_max_users, 64);
+
+  // The request batcher's window flag is gone: passing it fails loudly.
+  const char* removed_argv[] = {"driver", "--serve-batch-window-ms=5"};
+  FlagParser removed(2, const_cast<char**>(removed_argv));
+  (void)ApplyServeFlags(removed);
+  EXPECT_FALSE(removed.Validate());
 
   const char* typo_argv[] = {"driver", "--serve-quue-depth=9"};
   FlagParser typo(2, const_cast<char**>(typo_argv));
@@ -920,8 +920,6 @@ TEST(ServeFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(typo.SuggestionFor("serve-deadlin-ms"), "serve-deadline-ms");
   EXPECT_EQ(typo.SuggestionFor("serve-max-concurency"),
             "serve-max-concurrency");
-  EXPECT_EQ(typo.SuggestionFor("serve-batch-windw-ms"),
-            "serve-batch-window-ms");
 }
 
 // ------------------------------------------- telemetry wide events
@@ -1149,7 +1147,6 @@ TEST_F(ServeSwapTest, StatuszSurfacesRuntimeAndTelemetryState) {
   EXPECT_EQ(status.admission_max_concurrency, 4);
   EXPECT_EQ(status.admission_queue_depth, 8);
   EXPECT_EQ(status.admission_in_flight, 0);
-  EXPECT_EQ(status.sharded_requests, -1);  // unsharded runtime
   ASSERT_TRUE(status.has_telemetry);
   EXPECT_EQ(status.telemetry_recorded, 1);
   EXPECT_TRUE(status.has_last_window);
@@ -1263,16 +1260,14 @@ TEST(LoadFlagsTest, ValuesParsedAndTyposSuggested) {
   EXPECT_EQ(typo.SuggestionFor("load-durration-ms"), "load-duration-ms");
 }
 
-// ------------------------------------------- cross-request batching
+// ------------------------------------------- concurrent requests
 
-// Tentpole: concurrent Handle() calls coalesced by the window batcher
-// must be bit-identical to serving every request alone — batching may
-// only change amortization, never a single ranked list.
-TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
+// Concurrent Handle() calls on one epoch are bit-identical to serving
+// every user alone: each request is one Recommend call, and users share
+// no reconstruction state.
+TEST_F(ServeSwapTest, ConcurrentHandleBitIdenticalToPerUserOracle) {
   const std::string path = BuildArtifact("a.pvram", 31, kEps);
 
-  // Reference: unbatched runtime on the same artifact, one Recommend per
-  // request.
   ServeRuntimeOptions ref_options;
   ref_options.swap = ClusterPolicy(kEps);
   ServeRuntime reference(ref_options);
@@ -1282,21 +1277,23 @@ TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
   for (size_t i = 0; i < users_.size(); ++i) {
     slices[i % 4].push_back(users_[i]);
   }
-  std::vector<core::RecommendedBatch> expected;
-  for (const auto& slice : slices) {
-    ServeResponse resp = reference.Handle({slice, 10, 1000});
-    ASSERT_TRUE(resp.status.ok());
-    expected.push_back(resp.batch);
+  std::vector<std::vector<core::RecommendationList>> expected(4);
+  std::vector<int64_t> expected_degraded(4, 0);
+  for (size_t t = 0; t < 4; ++t) {
+    for (graph::NodeId u : slices[t]) {
+      ServeResponse resp = reference.Handle({{u}, 10, 1000});
+      ASSERT_TRUE(resp.status.ok());
+      ASSERT_EQ(resp.batch.lists.size(), 1u);
+      expected[t].push_back(resp.batch.lists[0]);
+      expected_degraded[t] += resp.batch.report.users_degraded;
+    }
   }
 
   ServeRuntimeOptions options;
   options.swap = ClusterPolicy(kEps);
   options.admission.max_concurrency = 4;
-  options.batch.window_ms = 25;
-  options.batch.max_requests = 4;
   ServeRuntime runtime(options);
   ASSERT_TRUE(runtime.Activate(path).ok());
-  ASSERT_NE(runtime.batcher(), nullptr);
 
   std::vector<ServeResponse> responses(4);
   std::vector<std::thread> threads;
@@ -1311,121 +1308,20 @@ TEST_F(ServeSwapTest, BatchedHandleBitIdenticalToUnbatchedAcrossThreads) {
 
   for (size_t t = 0; t < 4; ++t) {
     ASSERT_TRUE(responses[t].status.ok());
-    EXPECT_EQ(responses[t].batch.lists, expected[t].lists) << "slice " << t;
+    EXPECT_EQ(responses[t].batch.lists, expected[t]) << "slice " << t;
     EXPECT_EQ(responses[t].batch.report.users_degraded,
-              expected[t].report.users_degraded);
+              expected_degraded[t]);
   }
-
-  // Every request went through the batcher; how they coalesced depends
-  // on thread timing, but the occupancy accounting must balance.
-  EXPECT_EQ(runtime.batcher()->requests_batched(), 4);
-  EXPECT_GE(runtime.batcher()->batches_formed(), 1);
-  EXPECT_LE(runtime.batcher()->batches_formed(), 4);
+  EXPECT_EQ(runtime.admission().in_flight(), 0);
 
   serve::RuntimeIntrospection status = runtime.Introspect();
-  EXPECT_EQ(status.batched_requests, 4);
-  EXPECT_EQ(status.batches_formed, runtime.batcher()->batches_formed());
   EXPECT_FALSE(status.kernel_dispatch.empty());
   const std::string text = serve::StatuszText(status);
   EXPECT_NE(text.find("kernels:    dispatch " + status.kernel_dispatch),
             std::string::npos);
   const std::string json = serve::StatuszJson(status);
-  EXPECT_NE(json.find("\"batched_requests\": 4"), std::string::npos);
-}
-
-// A full batch (max_requests reached) closes before the window expires,
-// so the window is a bound, not a floor.
-TEST_F(ServeSwapTest, FullBatchClosesBeforeWindowExpires) {
-  const std::string path = BuildArtifact("a.pvram", 32, kEps);
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.admission.max_concurrency = 2;
-  // A window far longer than the test budget: if early close were
-  // broken, the 120 s ctest timeout would trip long before this window.
-  options.batch.window_ms = 300000;
-  options.batch.max_requests = 2;
-  ServeRuntime runtime(options);
-  ASSERT_TRUE(runtime.Activate(path).ok());
-
-  std::vector<graph::NodeId> left(users_.begin(),
-                                  users_.begin() + users_.size() / 2);
-  std::vector<graph::NodeId> right(users_.begin() + users_.size() / 2,
-                                   users_.end());
-  ServeResponse r1, r2;
-  std::thread t1([&] { r1 = runtime.Handle({left, 10, 1000000}); });
-  std::thread t2([&] { r2 = runtime.Handle({right, 10, 1000000}); });
-  t1.join();
-  t2.join();
-  ASSERT_TRUE(r1.status.ok());
-  ASSERT_TRUE(r2.status.ok());
-  EXPECT_EQ(runtime.batcher()->requests_batched(), 2);
-}
-
-// The async counterpart: FinishAsyncBatch groups admitted operations by
-// (epoch, top_n), serves each group in one Recommend, and the slices are
-// bit-identical to finishing the operations one by one.
-TEST_F(ServeSwapTest, FinishAsyncBatchMatchesIndividualFinishes) {
-  const std::string path = BuildArtifact("a.pvram", 33, kEps);
-  ManualClock clock;
-  clock.Set(10);
-  serve::ServeTelemetryOptions tel_options;
-  tel_options.sample_every = 1;
-  serve::ServeTelemetry telemetry(tel_options);
-  ServeRuntimeOptions options;
-  options.swap = ClusterPolicy(kEps);
-  options.clock = &clock;
-  options.telemetry = &telemetry;
-  options.admission.max_concurrency = 4;
-  ServeRuntime runtime(options);
-  ASSERT_TRUE(runtime.Activate(path).ok());
-
-  ServeRuntimeOptions ref_options;
-  ref_options.swap = ClusterPolicy(kEps);
-  ServeRuntime reference(ref_options);
-  ASSERT_TRUE(reference.Activate(path).ok());
-
-  std::vector<std::vector<graph::NodeId>> slices(3);
-  for (size_t i = 0; i < users_.size(); ++i) {
-    slices[i % 3].push_back(users_[i]);
-  }
-
-  AsyncServe op0 = runtime.BeginAsync({slices[0], 10, 1000}, clock.NowMs());
-  AsyncServe op1 = runtime.BeginAsync({slices[1], 10, 1000}, clock.NowMs());
-  // Different top_n: must land in its own group, never merged with the
-  // top-10 pair.
-  AsyncServe op2 = runtime.BeginAsync({slices[2], 7, 1000}, clock.NowMs());
-  ASSERT_TRUE(op0.admitted && op1.admitted && op2.admitted);
-
-  runtime.FinishAsyncBatch({&op0, &op1, &op2});
-  ASSERT_TRUE(op0.done && op1.done && op2.done);
-  ASSERT_TRUE(op0.response.status.ok());
-  ASSERT_TRUE(op1.response.status.ok());
-  ASSERT_TRUE(op2.response.status.ok());
-
-  EXPECT_EQ(op0.response.batch.lists,
-            reference.Handle({slices[0], 10, 1000}).batch.lists);
-  EXPECT_EQ(op1.response.batch.lists,
-            reference.Handle({slices[1], 10, 1000}).batch.lists);
-  EXPECT_EQ(op2.response.batch.lists,
-            reference.Handle({slices[2], 7, 1000}).batch.lists);
-
-  // Two groups: {op0, op1} merged, {op2} alone.
-  EXPECT_EQ(runtime.async_batches(), 2);
-  EXPECT_EQ(runtime.async_batched_requests(), 3);
-  EXPECT_EQ(op0.telemetry.batch_requests, 2);
-  EXPECT_EQ(op1.telemetry.batch_requests, 2);
-  EXPECT_EQ(op0.telemetry.batch_users,
-            static_cast<int64_t>(slices[0].size() + slices[1].size()));
-  EXPECT_EQ(op2.telemetry.batch_requests, 1);
-  EXPECT_EQ(op2.telemetry.batch_users,
-            static_cast<int64_t>(slices[2].size()));
-
-  // All slots released: the runtime can immediately admit again.
-  EXPECT_EQ(runtime.admission().in_flight(), 0);
-
-  serve::RuntimeIntrospection status = runtime.Introspect();
-  EXPECT_EQ(status.batches_formed, 2);
-  EXPECT_EQ(status.batched_requests, 3);
+  EXPECT_NE(json.find("\"dispatch\": \"" + status.kernel_dispatch + "\""),
+            std::string::npos);
 }
 
 // ------------------------------------------- lazy global-average row

@@ -14,8 +14,8 @@
 //     the debris;
 //   - the untrusted-header overflow regression (vector sizing must be
 //     validated by division, not a wrappable product);
-//   - shard-aware request routing (ShardedServeRuntime) matching the
-//     unrouted runtime bit for bit.
+//   - the shard layout as seen by the serve runtime's telemetry and
+//     statusz.
 
 // Isolation guarantee, checked at the include level exactly like
 // artifact_test: the serving-side headers come FIRST and must not pull in
@@ -26,7 +26,6 @@
 #include "artifact/serving.h"
 #include "artifact/shard_layout.h"
 #include "serve/runtime.h"
-#include "serve/sharded_runtime.h"
 #include "serve/statusz.h"
 #include "serve/telemetry.h"
 
@@ -723,52 +722,12 @@ TEST_F(ShardedArtifactTest, OversizedSectionTableEntryIsParseError) {
   }
 }
 
-// ------------------------------------------------- shard-aware routing
+// ------------------------------------------------- shard telemetry
 
-// ShardedServeRuntime splits a batch by owning shard and must reproduce
-// the unrouted ServeRuntime::Handle response bit for bit.
-TEST_F(ShardedArtifactTest, ShardedRuntimeMatchesDelegateBitForBit) {
-  serving::ArtifactModel model = BuildFullModel();
-  const std::string manifest = Path("route.pvram");
-  ASSERT_TRUE(
-      serving::SaveShardedArtifact(model, manifest, {.shards = 3}).ok());
-
-  serve::ServeRuntimeOptions options;
-  options.swap.spec.mechanism = "Cluster";
-  options.swap.spec.epsilon = kEps;
-
-  serve::ServeRuntime plain(options);
-  serve::ShardedServeRuntime sharded(options);
-  ASSERT_TRUE(plain.Activate(manifest).ok());
-  ASSERT_TRUE(sharded.Activate(manifest).ok());
-
-  serve::ServeRequest request;
-  request.users = users_;
-  request.top_n = kTopN;
-
-  serve::ServeResponse want = plain.Handle(request);
-  serve::ServeResponse got = sharded.Handle(request);
-  ASSERT_TRUE(want.status.ok()) << want.status.ToString();
-  ASSERT_TRUE(got.status.ok()) << got.status.ToString();
-  EXPECT_EQ(got.batch.lists, want.batch.lists);
-  EXPECT_EQ(got.batch.report.users_degraded,
-            want.batch.report.users_degraded);
-  EXPECT_EQ(got.epoch, want.epoch);
-  EXPECT_EQ(got.artifact_seed, want.artifact_seed);
-  EXPECT_EQ(sharded.sharded_requests(), 1);
-
-  // Single-user batches delegate (no routing win to be had).
-  request.users = {users_[0]};
-  serve::ServeResponse single = sharded.Handle(request);
-  ASSERT_TRUE(single.status.ok());
-  EXPECT_EQ(single.batch.lists[0], want.batch.lists[0]);
-  EXPECT_EQ(sharded.sharded_requests(), 1);
-}
-
-// The routed path attributes its wide events: which shards a batch
-// touched, route/reconstruct split, and the sharded request count on the
-// statusz surface.
-TEST_F(ShardedArtifactTest, ShardedTelemetryAttributesShardsTouched) {
+// A sharded release served through ServeRuntime reports its layout: the
+// wide event carries the pinned epoch's shard count, and statusz renders
+// the per-shard user map.
+TEST_F(ShardedArtifactTest, ShardedTelemetryReportsShardLayout) {
   serving::ArtifactModel model = BuildFullModel();
   const std::string manifest = Path("route.pvram");
   ASSERT_TRUE(
@@ -781,37 +740,28 @@ TEST_F(ShardedArtifactTest, ShardedTelemetryAttributesShardsTouched) {
   options.swap.spec.mechanism = "Cluster";
   options.swap.spec.epsilon = kEps;
   options.telemetry = &telemetry;
-  serve::ShardedServeRuntime sharded(options);
-  ASSERT_TRUE(sharded.Activate(manifest).ok());
+  serve::ServeRuntime runtime(options);
+  ASSERT_TRUE(runtime.Activate(manifest).ok());
 
-  // All 120 users: every shard owns a slice, so the event lists all
-  // three shards in ascending order.
   serve::ServeRequest request;
   request.users = users_;
   request.top_n = kTopN;
-  serve::ServeResponse response = sharded.Handle(request);
+  serve::ServeResponse response = runtime.Handle(request);
   ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  request.users = {users_[0]};
+  ASSERT_TRUE(runtime.Handle(request).status.ok());
 
   std::vector<obs::RequestTelemetry> events = telemetry.sampled_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].outcome, obs::RequestOutcome::kOk);
-  EXPECT_EQ(events[0].shard_count, 3);
-  EXPECT_EQ(events[0].shards_touched, (std::vector<int64_t>{0, 1, 2}));
-  EXPECT_GE(events[0].route_ms, 0.0);
-  EXPECT_GE(events[0].reconstruct_ms, 0.0);
-  const std::string jsonl = telemetry.EventsJsonl();
-  EXPECT_NE(jsonl.find("\"shards\": [0, 1, 2]"), std::string::npos);
-
-  // A single-user batch delegates to the unsharded runtime; its event
-  // carries the one owning shard the delegate resolved against.
-  request.users = {users_[0]};
-  ASSERT_TRUE(sharded.Handle(request).status.ok());
-  events = telemetry.sampled_events();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[1].shard_count, 3);
+  for (const obs::RequestTelemetry& event : events) {
+    EXPECT_EQ(event.outcome, obs::RequestOutcome::kOk);
+    EXPECT_EQ(event.shard_count, 3);
+    EXPECT_GE(event.reconstruct_ms, 0.0);
+  }
+  EXPECT_NE(telemetry.EventsJsonl().find("\"shard_count\": 3"),
+            std::string::npos);
 
-  serve::RuntimeIntrospection status = sharded.Introspect();
-  EXPECT_EQ(status.sharded_requests, 1);
+  serve::RuntimeIntrospection status = runtime.Introspect();
   EXPECT_EQ(status.shard_count, 3);
   ASSERT_EQ(status.shard_users.size(), 3u);
   int64_t owned = 0;
@@ -819,9 +769,9 @@ TEST_F(ShardedArtifactTest, ShardedTelemetryAttributesShardsTouched) {
   EXPECT_EQ(owned, status.num_users);
   ASSERT_TRUE(status.has_telemetry);
   EXPECT_EQ(status.telemetry_recorded, 2);
-  EXPECT_NE(serve::StatuszText(status).find("routing:    1 shard-routed"),
+  EXPECT_NE(serve::StatuszText(status).find("3 shard(s)"),
             std::string::npos);
-  EXPECT_NE(serve::StatuszJson(status).find("\"sharded_requests\": 1"),
+  EXPECT_NE(serve::StatuszJson(status).find("\"shard_count\": 3"),
             std::string::npos);
 }
 
