@@ -90,8 +90,8 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   return Status::Ok();
 }
 
-std::string RawBytes(const void* data, size_t size) {
-  return std::string(static_cast<const char*>(data), size);
+std::string_view RawBytes(const void* data, size_t size) {
+  return {static_cast<const char*>(data), size};
 }
 
 }  // namespace
@@ -432,30 +432,50 @@ Status SaveShardedArtifact(const ArtifactModel& model,
   for (uint32_t s = 0; s < shard_count; ++s) {
     const int64_t cb = bounds[s], ce = bounds[s + 1];
 
-    // Concatenate the shard's users' workload / preference rows in
-    // ascending user order — the order the loader rebuilds its per-user
-    // row pointers in, so round-tripping is exact.
+    // The shard's users' workload / preference rows in ascending user
+    // order — the order the loader rebuilds its per-user row pointers in,
+    // so round-tripping is exact. With one shard that is the model's own
+    // CSR, viewed in place; with several, each shard gathers its users'
+    // rows into a buffer of its own.
     std::string workload_blob, pref_items_blob, pref_weights_blob;
+    std::string_view workload_bytes, pref_items_bytes, pref_weights_bytes;
     uint64_t entry_count = 0, pref_count = 0;
-    for (size_t u = 0; u < num_users; ++u) {
-      const uint32_t us =
-          shard_of_cluster[static_cast<size_t>(model.partition.cluster_of[u])];
-      if (us != s) continue;
-      const uint64_t begin = model.workload.offsets[u];
-      const uint64_t end = model.workload.offsets[u + 1];
-      workload_blob.append(RawBytes(model.workload.entries.data() + begin,
-                                    (end - begin) * sizeof(WorkloadEntry)));
-      entry_count += end - begin;
+    if (shard_count == 1) {
+      entry_count = model.workload.entries.size();
+      workload_bytes = RawBytes(model.workload.entries.data(),
+                                entry_count * sizeof(WorkloadEntry));
       if (model.has_preferences) {
-        const uint64_t pb = model.preferences.offsets[u];
-        const uint64_t pe = model.preferences.offsets[u + 1];
-        pref_items_blob.append(RawBytes(model.preferences.items.data() + pb,
-                                        (pe - pb) * sizeof(int64_t)));
-        pref_weights_blob.append(
-            RawBytes(model.preferences.weights.data() + pb,
-                     (pe - pb) * sizeof(double)));
-        pref_count += pe - pb;
+        pref_count = model.preferences.items.size();
+        pref_items_bytes = RawBytes(model.preferences.items.data(),
+                                    pref_count * sizeof(int64_t));
+        pref_weights_bytes = RawBytes(model.preferences.weights.data(),
+                                      pref_count * sizeof(double));
       }
+    } else {
+      for (size_t u = 0; u < num_users; ++u) {
+        const uint32_t us = shard_of_cluster[static_cast<size_t>(
+            model.partition.cluster_of[u])];
+        if (us != s) continue;
+        const uint64_t begin = model.workload.offsets[u];
+        const uint64_t end = model.workload.offsets[u + 1];
+        workload_blob.append(RawBytes(model.workload.entries.data() + begin,
+                                      (end - begin) * sizeof(WorkloadEntry)));
+        entry_count += end - begin;
+        if (model.has_preferences) {
+          const uint64_t pb = model.preferences.offsets[u];
+          const uint64_t pe = model.preferences.offsets[u + 1];
+          pref_items_blob.append(
+              RawBytes(model.preferences.items.data() + pb,
+                       (pe - pb) * sizeof(int64_t)));
+          pref_weights_blob.append(
+              RawBytes(model.preferences.weights.data() + pb,
+                       (pe - pb) * sizeof(double)));
+          pref_count += pe - pb;
+        }
+      }
+      workload_bytes = workload_blob;
+      pref_items_bytes = pref_items_blob;
+      pref_weights_bytes = pref_weights_blob;
     }
 
     ShardHeader header;
@@ -469,9 +489,10 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     header.workload_entries = entry_count;
     header.pref_edges = pref_count;
 
+    const std::string header_blob = EncodeShardHeader(header);
     std::vector<AlignedSection> sections;
-    sections.push_back({static_cast<uint32_t>(ShardSectionId::kShardHeader),
-                        EncodeShardHeader(header)});
+    sections.push_back(
+        {static_cast<uint32_t>(ShardSectionId::kShardHeader), header_blob});
     sections.push_back(
         {static_cast<uint32_t>(ShardSectionId::kNoisyRows),
          RawBytes(model.noisy.values.data() +
@@ -488,13 +509,13 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     }
     sections.push_back(
         {static_cast<uint32_t>(ShardSectionId::kWorkloadEntries),
-         std::move(workload_blob)});
+         workload_bytes});
     if (model.has_preferences) {
       sections.push_back({static_cast<uint32_t>(ShardSectionId::kPrefItems),
-                          std::move(pref_items_blob)});
+                          pref_items_bytes});
       sections.push_back(
           {static_cast<uint32_t>(ShardSectionId::kPrefWeights),
-           std::move(pref_weights_blob)});
+           pref_weights_bytes});
     }
 
     const std::string bytes =
@@ -542,11 +563,13 @@ Status SaveShardedArtifact(const ArtifactModel& model,
   meta.has_noisy_f32 = model.has_noisy_f32;
   meta.noisy_f32_source_crc32 = model.noisy_f32.source_crc32;
 
+  const std::string meta_blob = EncodeManifestMeta(meta);
+  const std::string table_blob = EncodeShardTable(table);
   std::vector<AlignedSection> sections;
-  sections.push_back({static_cast<uint32_t>(ManifestSectionId::kManifestMeta),
-                      EncodeManifestMeta(meta)});
-  sections.push_back({static_cast<uint32_t>(ManifestSectionId::kShardTable),
-                      EncodeShardTable(table)});
+  sections.push_back(
+      {static_cast<uint32_t>(ManifestSectionId::kManifestMeta), meta_blob});
+  sections.push_back(
+      {static_cast<uint32_t>(ManifestSectionId::kShardTable), table_blob});
   sections.push_back(
       {static_cast<uint32_t>(ManifestSectionId::kClusterOf),
        RawBytes(model.partition.cluster_of.data(),

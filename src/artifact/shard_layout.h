@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "artifact/model.h"
@@ -80,9 +81,12 @@ const char* ShardSectionName(ShardSectionId id);
 
 // ---- Aligned container framing ----
 
+// A section to encode. The payload is a view: raw-array sections point
+// straight into the model's buffers, so a save copies each byte once,
+// into the encoded container. The bytes must outlive the encode call.
 struct AlignedSection {
   uint32_t id = 0;
-  std::string payload;
+  std::string_view payload;
 };
 
 // One parsed section-table row; the payload itself stays in the file.
