@@ -120,7 +120,6 @@ inline eval::RecommenderFactory ClusterFactory(
     artifact::BuildOptions options;
     options.epsilon = eps;
     options.seed = seed;
-    options.include_reference_sections = false;
     options.table_f32 = table_f32;
     auto model = builder->Build(options);
     PRIVREC_CHECK_MSG(model.ok(), "artifact build failed");

@@ -12,8 +12,13 @@
 // Paper shape to verify: Cluster >> NOE > {GS, LRM} > NOU, with NOU at
 // random-guessing level and NOE collapsing from eps = 1.0 to 0.1.
 //
+// The baselines read the private preference graph, so they are always
+// evaluated in memory (core::MakeRecommender). The Cluster column is
+// built, served from the artifact engine, and matches the in-memory
+// ClusterRecommender bit for bit; --in-memory times that path instead.
+//
 //   ./bench_fig4_baselines [--trials=3] [--lrm_rank=200] [--skip_lrm]
-//                          [--in-memory]  # legacy single-process path
+//                          [--in-memory]
 
 #include <algorithm>
 #include <iostream>
@@ -102,32 +107,6 @@ int Main(int argc, char** argv) {
       // Extra trials for the two leaders so the Welch test has power.
       const int lead_trials = std::max(trials, 4);
 
-      // Two-phase route (default): the reference baselines draw their
-      // per-call noise at serve time, so they all share ONE artifact that
-      // carries the raw preference sections. The cluster mechanism instead
-      // redraws its publication noise every trial, so each trial rebuilds
-      // the sanitized artifact — the builder's publisher advances exactly
-      // as the in-memory recommender's invocation counter would, keeping
-      // both routes bit-identical. --in-memory times the legacy path.
-      std::shared_ptr<const serving::ServingEngine> baseline_engine;
-      if (!in_memory) {
-        artifact::ModelArtifactBuilder builder(&dataset.social,
-                                               &dataset.preferences);
-        builder.SetPartition(&louvain.partition);
-        builder.SetWorkload(&workload);
-        artifact::BuildOptions build_options;
-        build_options.epsilon = eps;
-        build_options.seed = 49;  // its own noisy table is never served
-        build_options.include_lowrank = !skip_lrm;
-        build_options.lrm_target_rank = lrm_rank;
-        build_options.lrm_seed = 53;
-        auto model = builder.Build(build_options);
-        PRIVREC_CHECK_MSG(model.ok(), "baseline artifact build failed");
-        auto engine = serving::ServingEngine::FromModel(std::move(*model));
-        PRIVREC_CHECK_MSG(engine.ok(), "baseline artifact rejected");
-        baseline_engine = std::make_shared<const serving::ServingEngine>(
-            std::move(*engine));
-      }
       auto make = [&](const std::string& mechanism, uint64_t seed,
                       int64_t gs_m) {
         core::RecommenderSpec spec;
@@ -136,7 +115,6 @@ int Main(int argc, char** argv) {
         spec.seed = seed;
         spec.gs_group_size = gs_m;
         spec.lrm_target_rank = lrm_rank;
-        spec.engine = baseline_engine.get();  // null => legacy in-memory
         auto rec = core::MakeRecommender(context, spec);
         PRIVREC_CHECK_MSG(rec.ok(), "recommender construction failed");
         return std::move(*rec);
@@ -149,6 +127,9 @@ int Main(int argc, char** argv) {
         cluster_trials =
             NdcgTrials(&cluster, reference, users, lead_trials);
       } else {
+        // Each trial rebuilds the sanitized artifact: the builder's
+        // publisher advances exactly as the in-memory recommender's
+        // invocation counter would, keeping both routes bit-identical.
         artifact::ModelArtifactBuilder cluster_builder(
             &dataset.social, &dataset.preferences);
         cluster_builder.SetPartition(&louvain.partition);
@@ -157,7 +138,6 @@ int Main(int argc, char** argv) {
           artifact::BuildOptions build_options;
           build_options.epsilon = eps;
           build_options.seed = 50;
-          build_options.include_reference_sections = false;
           auto model = cluster_builder.Build(build_options);
           PRIVREC_CHECK_MSG(model.ok(), "cluster artifact build failed");
           auto engine =

@@ -347,7 +347,6 @@ struct ArtifactFixture {
     artifact::BuildOptions options;
     options.epsilon = 0.1;
     options.seed = 12;
-    options.include_reference_sections = false;
     auto built = builder.Build(options);
     PRIVREC_CHECK_MSG(built.ok(), "artifact build failed");
     model = std::move(*built);
@@ -411,7 +410,7 @@ void BM_ArtifactClusterServe(benchmark::State& state) {
   std::vector<graph::NodeId> users;
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   for (auto _ : state) {
-    auto batch = (*server)->Recommend(users, 50);
+    auto batch = server->Recommend(users, 50);
     benchmark::DoNotOptimize(batch.lists.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -432,7 +431,7 @@ void BM_ArtifactClusterServeThreads(benchmark::State& state) {
   for (graph::NodeId u = 0; u < 200; ++u) users.push_back(u);
   ScopedThreadCount scoped(state.range(0));
   for (auto _ : state) {
-    auto batch = (*server)->Recommend(users, 50);
+    auto batch = server->Recommend(users, 50);
     benchmark::DoNotOptimize(batch.lists.data());
   }
   state.SetItemsProcessed(state.iterations() *

@@ -141,6 +141,16 @@ if nm --defined-only build-asan-ubsan/src/artifact/libprivrec_serving.a \
 fi
 echo "serving symbol check: clean (no preference/social graph code)"
 
+# Serving is post-processing of a release whose noise is frozen: the
+# serving library must not be able to draw noise. Undefined symbols count
+# too (no --defined-only): a call into the DP mechanisms is a reference.
+if nm -C build-asan-ubsan/src/artifact/libprivrec_serving.a 2>/dev/null \
+    | grep -E "LaplaceMechanism|GeometricMechanism|Rng::Laplace" ; then
+  echo "FAIL: privrec_serving object code references the noise mechanisms" >&2
+  exit 1
+fi
+echo "serving noise check: clean (no DP mechanism or Laplace sampler)"
+
 # The serving runtime (src/serve) inherits the same isolation guarantee.
 if nm --defined-only build-asan-ubsan/src/serve/libprivrec_serve.a \
     2>/dev/null | grep -E "PreferenceGraph|SocialGraph" ; then

@@ -99,8 +99,6 @@ int main(int argc, char** argv) {
     artifact::BuildOptions build_options;
     build_options.epsilon = epsilon;
     build_options.seed = 11;
-    // The sanitized sections alone serve the paper's mechanism.
-    build_options.include_reference_sections = false;
     // Optional f32 mirror of the noisy table: DP-free post-processing,
     // halves the reconstruction read set at bounded NDCG cost.
     build_options.table_f32 = table_f32;
@@ -135,7 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::vector<graph::NodeId> users = inputs->AllUsers();
-  auto batch = (*server)->Recommend(users, top_n);
+  auto batch = server->Recommend(users, top_n);
   std::printf("served top-%lld for %zu users at epsilon=%.2f from the "
               "artifact (%.0f ms total)\n",
               static_cast<long long>(top_n), users.size(), epsilon,

@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
   artifact::BuildOptions build_options;
   build_options.epsilon = epsilon;
   build_options.seed = 1;
-  build_options.include_reference_sections = false;
   auto model = builder.Build(build_options);
   if (!model.ok()) {
     std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
@@ -101,7 +100,7 @@ int main(int argc, char** argv) {
   core::ExactRecommender exact_rec(context);
   const graph::NodeId user = 17;
   core::RecommendationList private_list =
-      (*server)->Recommend({user}, top_n).lists[0];
+      server->Recommend({user}, top_n).lists[0];
   core::RecommendationList exact_list = exact_rec.RecommendOne(user, top_n);
   std::printf("\nuser %lld, epsilon = %.2f\n",
               static_cast<long long>(user), epsilon);
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
   eval::ExactReference reference =
       eval::ExactReference::Compute(context, users, top_n);
   double ndcg =
-      reference.MeanNdcg((*server)->Recommend(users, top_n).lists);
+      reference.MeanNdcg(server->Recommend(users, top_n).lists);
   std::printf("\nNDCG@%lld across %zu users (served): %.3f\n",
               static_cast<long long>(top_n), users.size(), ndcg);
   return 0;

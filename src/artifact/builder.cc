@@ -30,7 +30,6 @@ void ModelArtifactBuilder::SetWorkload(
     const similarity::SimilarityWorkload* workload) {
   workload_ = workload;
   publisher_.reset();
-  lowrank_.reset();
 }
 
 uint64_t ModelArtifactBuilder::graph_hash() {
@@ -66,6 +65,11 @@ const similarity::SimilarityWorkload& ModelArtifactBuilder::EnsureWorkload(
 Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
     const BuildOptions& options) {
   PRIVREC_SPAN("artifact.build");
+  if (options.include_reference_sections) {
+    return Status::InvalidArgument(
+        "include_reference_sections is retired: artifacts carry only the "
+        "sanitized release; evaluate the baselines in memory");
+  }
   const community::Partition& partition = EnsurePartition(options);
   const similarity::SimilarityWorkload& workload = EnsureWorkload(options);
   if (partition.num_nodes() != social_->num_nodes()) {
@@ -102,8 +106,6 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
   model.meta.num_users = social_->num_nodes();
   model.meta.num_items = preferences_->num_items();
   model.meta.num_social_edges = social_->num_edges();
-  model.meta.num_preference_edges = preferences_->num_edges();
-  model.meta.max_weight = preferences_->max_weight();
   model.meta.measure_name = workload.measure_name();
 
   model.partition.cluster_of = partition.cluster_of();
@@ -115,8 +117,6 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
   for (const similarity::SimilarityEntry& e : workload.entries()) {
     model.workload.entries.push_back({e.user, e.score});
   }
-  model.workload.max_column_sum = workload.MaxColumnSum();
-  model.workload.max_entry = workload.MaxEntry();
 
   model.noisy.num_clusters = partition.num_clusters();
   model.noisy.values = std::move(release.values);
@@ -142,55 +142,6 @@ Result<serving::ArtifactModel> ModelArtifactBuilder::Build(
   model.provenance.sensitivity = preferences_->max_weight();
   model.provenance.seed = options.seed;
   model.provenance.ledger_id = options.ledger_id;
-
-  if (options.include_reference_sections) {
-    model.has_preferences = true;
-    auto& p = model.preferences;
-    p.offsets.reserve(static_cast<size_t>(social_->num_nodes()) + 1);
-    p.offsets.push_back(0);
-    p.items.reserve(static_cast<size_t>(preferences_->num_edges()));
-    p.weights.reserve(static_cast<size_t>(preferences_->num_edges()));
-    for (graph::NodeId u = 0; u < preferences_->num_users(); ++u) {
-      auto items = preferences_->ItemsOf(u);
-      auto weights = preferences_->WeightsOf(u);
-      p.items.insert(p.items.end(), items.begin(), items.end());
-      p.weights.insert(p.weights.end(), weights.begin(), weights.end());
-      p.offsets.push_back(p.items.size());
-    }
-  }
-
-  if (options.include_lowrank) {
-    if (lowrank_ == nullptr || lowrank_rank_ != options.lrm_target_rank ||
-        lowrank_seed_ != options.lrm_seed) {
-      core::LowRankRecommenderOptions lrm_options;
-      lrm_options.epsilon = options.epsilon;
-      lrm_options.target_rank = options.lrm_target_rank;
-      lrm_options.seed = options.lrm_seed;
-      lowrank_ = std::make_unique<core::LowRankRecommender>(context,
-                                                            lrm_options);
-      lowrank_rank_ = options.lrm_target_rank;
-      lowrank_seed_ = options.lrm_seed;
-    }
-    model.has_lowrank = true;
-    auto& lr = model.lowrank;
-    lr.rank = lowrank_->rank();
-    const la::DenseMatrix& b = lowrank_->b();
-    const la::DenseMatrix& l = lowrank_->l();
-    lr.b.reserve(static_cast<size_t>(b.rows()) *
-                 static_cast<size_t>(b.cols()));
-    for (int64_t r = 0; r < b.rows(); ++r) {
-      const double* row = b.RowPtr(r);
-      lr.b.insert(lr.b.end(), row, row + b.cols());
-    }
-    lr.l.reserve(static_cast<size_t>(l.rows()) *
-                 static_cast<size_t>(l.cols()));
-    for (int64_t r = 0; r < l.rows(); ++r) {
-      const double* row = l.RowPtr(r);
-      lr.l.insert(lr.l.end(), row, row + l.cols());
-    }
-    lr.noise_sensitivity = lowrank_->noise_sensitivity();
-    lr.factorization_error = lowrank_->factorization_error();
-  }
 
   return model;
 }

@@ -1,9 +1,9 @@
 // ModelArtifactBuilder: the offline half of the build/serve split.
 //
-// Runs the Fit() phase of every mechanism — createClusters on the public
-// social graph, similarity-workload materialization, the ε-DP A_w
-// publication, and optionally the LRM factorization — and assembles the
-// result into a serving::ArtifactModel ready for SaveArtifact.
+// Runs the Fit() phase of the paper's mechanism — createClusters on the
+// public social graph, similarity-workload materialization and the ε-DP
+// A_w publication — and assembles the result into a serving::ArtifactModel
+// ready for SaveArtifact.
 //
 // This is the ONLY place in the two-phase pipeline that touches the
 // private PreferenceGraph; everything downstream of the returned model is
@@ -26,7 +26,6 @@
 #include "community/louvain.h"
 #include "community/partition.h"
 #include "core/cluster_recommender.h"
-#include "core/low_rank_recommender.h"
 #include "graph/preference_graph.h"
 #include "graph/social_graph.h"
 #include "similarity/similarity_measure.h"
@@ -44,19 +43,15 @@ struct BuildOptions {
   const similarity::SimilarityMeasure* measure = nullptr;
   // createClusters configuration when no partition was injected.
   community::LouvainOptions louvain;
-  // Persist the raw preference CSR so the reference baselines
-  // (Exact/NOU/NOE/GS) can serve from the artifact. A production-shaped
-  // artifact should turn this off: the sanitized sections alone serve the
-  // paper's mechanism.
-  bool include_reference_sections = true;
+  // Must stay false: Build returns kInvalidArgument for true. Artifacts
+  // no longer carry the raw preference CSR the baselines needed (a
+  // release holds only sanitized data). The field remains because the
+  // perfbench workloads still assign it.
+  bool include_reference_sections = false;
   // Also emit the f32-quantized kNoisyTableF32 mirror of the release.
   // Pure post-processing of the sanitized table (no extra privacy cost);
   // the serve path prefers it for row accumulation when present.
   bool table_f32 = false;
-  // Additionally run the LRM factorization and persist B/L.
-  bool include_lowrank = false;
-  int64_t lrm_target_rank = 200;
-  uint64_t lrm_seed = 500;
   // BudgetLedger entry id recorded in the provenance section ("" when the
   // release is not ledgered).
   std::string ledger_id;
@@ -97,10 +92,6 @@ class ModelArtifactBuilder {
   std::unique_ptr<core::ClusterRecommender> publisher_;
   double publisher_epsilon_ = 0.0;
   uint64_t publisher_seed_ = 0;
-  // Cached LRM factorization (the SVD is the expensive part).
-  std::unique_ptr<core::LowRankRecommender> lowrank_;
-  int64_t lowrank_rank_ = 0;
-  uint64_t lowrank_seed_ = 0;
 };
 
 }  // namespace privrec::artifact

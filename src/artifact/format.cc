@@ -19,10 +19,6 @@ const char* SectionName(SectionId id) {
       return "noisy_table";
     case SectionId::kProvenance:
       return "provenance";
-    case SectionId::kPreferences:
-      return "preferences";
-    case SectionId::kLowRank:
-      return "low_rank";
     case SectionId::kNoisyTableF32:
       return "noisy_table_f32";
   }

@@ -299,32 +299,16 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
     ManifestSectionId id;
     uint64_t count;
     uint64_t elem;
-    bool required;
   };
-  if (meta.lowrank_rank < 0 ||
-      (meta.lowrank_rank > 0 &&
-       num_users > UINT64_MAX / static_cast<uint64_t>(meta.lowrank_rank))) {
-    return Status::ParseError(what + ": low-rank factor dimensions overflow");
-  }
-  const uint64_t lr_count =
-      num_users * static_cast<uint64_t>(meta.lowrank_rank);
   const RawSpec specs[] = {
-      {ManifestSectionId::kClusterOf, num_users, 8, true},
-      {ManifestSectionId::kClusterSizes, num_clusters, 8, true},
-      {ManifestSectionId::kSanitizedFlags, num_clusters, 1, true},
-      {ManifestSectionId::kWorkloadOffsets, num_users + 1, 8, true},
-      {ManifestSectionId::kPrefOffsets, num_users + 1, 8,
-       meta.has_preferences},
-      {ManifestSectionId::kLowRankB, lr_count, 8, meta.has_lowrank},
-      {ManifestSectionId::kLowRankL, lr_count, 8, meta.has_lowrank},
+      {ManifestSectionId::kClusterOf, num_users, 8},
+      {ManifestSectionId::kClusterSizes, num_clusters, 8},
+      {ManifestSectionId::kSanitizedFlags, num_clusters, 1},
+      {ManifestSectionId::kWorkloadOffsets, num_users + 1, 8},
   };
   for (const RawSpec& spec : specs) {
+    // Presence was checked above, with the blob sections.
     const AlignedSectionView* s = find(spec.id);
-    if (s == nullptr) {
-      if (!spec.required) continue;
-      return Status::ParseError(what + " is missing required section '" +
-                                ManifestSectionName(spec.id) + "'");
-    }
     if (!SizeMatches(s->size, spec.count, spec.elem)) {
       return Status::ParseError(
           what + " section '" + ManifestSectionName(spec.id) +
@@ -341,16 +325,6 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
       base + find(ManifestSectionId::kSanitizedFlags)->offset);
   artifact->workload_offsets_ = reinterpret_cast<const uint64_t*>(
       base + find(ManifestSectionId::kWorkloadOffsets)->offset);
-  if (meta.has_preferences) {
-    artifact->pref_offsets_ = reinterpret_cast<const uint64_t*>(
-        base + find(ManifestSectionId::kPrefOffsets)->offset);
-  }
-  if (meta.has_lowrank) {
-    artifact->lowrank_b_ = reinterpret_cast<const double*>(
-        base + find(ManifestSectionId::kLowRankB)->offset);
-    artifact->lowrank_l_ = reinterpret_cast<const double*>(
-        base + find(ManifestSectionId::kLowRankL)->offset);
-  }
   artifact->total_bytes_ = artifact->manifest_.size();
 
   // Shard-set geometry: the table must partition [0, num_clusters) into
@@ -456,8 +430,7 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
         shard.header.cluster_begin != e.cluster_begin ||
         shard.header.cluster_end != e.cluster_end ||
         shard.header.num_items != meta.meta.num_items ||
-        shard.header.workload_entries != e.workload_entries ||
-        shard.header.pref_edges != e.pref_edges) {
+        shard.header.workload_entries != e.workload_entries) {
       return Status::FailedPrecondition(
           shard_what + " header disagrees with the manifest's shard table");
     }
@@ -495,9 +468,6 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
          meta.has_noisy_f32},
         {ShardSectionId::kWorkloadEntries, e.workload_entries,
          sizeof(WorkloadEntry), true},
-        {ShardSectionId::kPrefItems, e.pref_edges, 8, meta.has_preferences},
-        {ShardSectionId::kPrefWeights, e.pref_edges, 8,
-         meta.has_preferences},
     };
     for (const ShardSpec& spec : shard_specs) {
       const AlignedSectionView* sec = find_shard(spec.id);
@@ -527,12 +497,6 @@ Result<std::shared_ptr<const MappedArtifact>> MappedArtifact::Open(
     }
     shard.workload_entries = reinterpret_cast<const WorkloadEntry*>(
         file.data() + find_shard(ShardSectionId::kWorkloadEntries)->offset);
-    if (meta.has_preferences) {
-      shard.pref_items = reinterpret_cast<const int64_t*>(
-          file.data() + find_shard(ShardSectionId::kPrefItems)->offset);
-      shard.pref_weights = reinterpret_cast<const double*>(
-          file.data() + find_shard(ShardSectionId::kPrefWeights)->offset);
-    }
     artifact->total_bytes_ += file.size();
     artifact->shards_.push_back(shard);
     artifact->shard_files_.push_back(std::move(file));

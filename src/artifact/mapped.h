@@ -84,8 +84,6 @@ class MappedArtifact {
     const double* noisy_rows = nullptr;           // (ce-cb) x num_items
     const float* noisy_rows_f32 = nullptr;        // null without f32 mirror
     const WorkloadEntry* workload_entries = nullptr;
-    const int64_t* pref_items = nullptr;          // null without prefs
-    const double* pref_weights = nullptr;
   };
 
   // Opens manifest + shards with the full validation contract above.
@@ -101,9 +99,6 @@ class MappedArtifact {
   const int64_t* cluster_sizes() const { return cluster_sizes_; }
   const uint8_t* sanitized() const { return sanitized_; }
   const uint64_t* workload_offsets() const { return workload_offsets_; }
-  const uint64_t* pref_offsets() const { return pref_offsets_; }
-  const double* lowrank_b() const { return lowrank_b_; }
-  const double* lowrank_l() const { return lowrank_l_; }
 
   bool mmap_backed() const { return manifest_.mmap_backed(); }
   uint64_t total_bytes() const { return total_bytes_; }
@@ -116,9 +111,6 @@ class MappedArtifact {
   const int64_t* cluster_sizes_ = nullptr;
   const uint8_t* sanitized_ = nullptr;
   const uint64_t* workload_offsets_ = nullptr;
-  const uint64_t* pref_offsets_ = nullptr;
-  const double* lowrank_b_ = nullptr;
-  const double* lowrank_l_ = nullptr;
   uint64_t total_bytes_ = 0;
   MappedFile manifest_;
   std::vector<MappedFile> shard_files_;

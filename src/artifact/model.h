@@ -3,12 +3,11 @@
 // by SaveArtifact / SaveShardedArtifact (artifact/shard_layout.h),
 // consumed by ServingEngine.
 //
-// Deliberately NOT here: the social graph and the private PreferenceGraph.
-// The cluster path (the paper's main mechanism) serves from the sanitized
-// sections alone. The preference CSR section is optional and exists only so
-// the four reference baselines (Exact/NOU/NOE/GS) can be served through the
-// same artifact for apples-to-apples accuracy comparisons; a
-// production-shaped artifact simply omits it.
+// Deliberately NOT here: the social graph and the private PreferenceGraph,
+// nor any statistic of the preference graph that was not sanitized. The
+// paper's mechanism serves from these sections alone; the evaluation
+// baselines (Exact/NOU/NOE/GS/LRM) read the private graph and so run in
+// memory only (core::MakeRecommender), never from an artifact.
 
 #ifndef PRIVREC_ARTIFACT_MODEL_H_
 #define PRIVREC_ARTIFACT_MODEL_H_
@@ -27,8 +26,8 @@ enum class SectionId : uint32_t {
   kWorkload = 3,
   kNoisyTable = 4,
   kProvenance = 5,
-  kPreferences = 6,  // optional (reference baselines only)
-  kLowRank = 7,      // optional (LRM baseline only)
+  // 6 and 7 (the baselines' preference CSR and low-rank factors) are
+  // retired.
   kNoisyTableF32 = 8,  // optional (f32-quantized mirror of kNoisyTable)
 };
 
@@ -52,8 +51,6 @@ struct GraphMetaSection {
   int64_t num_users = 0;    // |U| = social nodes = preference users
   int64_t num_items = 0;
   int64_t num_social_edges = 0;
-  int64_t num_preference_edges = 0;
-  double max_weight = 1.0;  // w_max, the per-edge sensitivity bound
   std::string measure_name;  // similarity measure the workload was built with
 };
 
@@ -67,8 +64,6 @@ struct PartitionSection {
 struct WorkloadSection {
   std::vector<uint64_t> offsets;  // num_users + 1 entries
   std::vector<WorkloadEntry> entries;
-  double max_column_sum = 0.0;
-  double max_entry = 0.0;
 };
 
 // Section 4: the A_w release — the only artifact content derived from the
@@ -90,15 +85,6 @@ struct ProvenanceSection {
   std::string ledger_id;     // BudgetLedger entry id ("" if unledgered)
 };
 
-// Section 6 (optional): raw preference CSR, user-major. Present only when
-// the builder is asked for reference baselines; its presence is what the
-// ServingEngine checks before constructing Exact/NOU/NOE/GS servers.
-struct PreferenceSection {
-  std::vector<uint64_t> offsets;  // num_users + 1 entries
-  std::vector<int64_t> items;
-  std::vector<double> weights;
-};
-
 // Section 8 (optional): the same A_w release quantized to f32, written by
 // the builder's table_f32 option. Pure post-processing of the released
 // table (no additional privacy cost); `source_crc32` is the CRC-32 of the
@@ -110,25 +96,12 @@ struct NoisyTableF32Section {
   uint32_t source_crc32 = 0;   // Crc32 of the f64 values it mirrors
 };
 
-// Section 7 (optional): LRM factors W ≈ B L (row-major, dense).
-struct LowRankSection {
-  int64_t rank = 0;
-  std::vector<double> b;  // num_users x rank
-  std::vector<double> l;  // rank x num_users
-  double noise_sensitivity = 0.0;
-  double factorization_error = 0.0;
-};
-
 struct ArtifactModel {
   GraphMetaSection meta;
   PartitionSection partition;
   WorkloadSection workload;
   NoisyTableSection noisy;
   ProvenanceSection provenance;
-  bool has_preferences = false;
-  PreferenceSection preferences;
-  bool has_lowrank = false;
-  LowRankSection lowrank;
   bool has_noisy_f32 = false;
   NoisyTableF32Section noisy_f32;
 };

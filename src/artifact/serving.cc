@@ -1,17 +1,10 @@
 #include "artifact/serving.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
-#include <numeric>
 #include <utility>
 
 #include "artifact/shard_layout.h"
 #include "common/crc32.h"
-#include "common/fault_injection.h"
-#include "common/parallel.h"
-#include "common/random.h"
-#include "dp/mechanisms.h"
 #include "obs/trace.h"
 
 namespace privrec::serving {
@@ -98,472 +91,31 @@ Status ValidateModel(const ArtifactModel& m) {
     }
   }
 
-  if (m.has_preferences) {
-    const auto& p = m.preferences;
-    if (p.offsets.size() != nu + 1 || p.offsets.front() != 0 ||
-        p.offsets.back() != p.items.size() ||
-        p.items.size() != p.weights.size()) {
-      return Invalid(SectionId::kPreferences,
-                     "offsets do not index the edges");
-    }
-    for (size_t k = 0; k + 1 < p.offsets.size(); ++k) {
-      if (p.offsets[k] > p.offsets[k + 1]) {
-        return Invalid(SectionId::kPreferences, "offsets not monotone");
-      }
-    }
-    for (int64_t i : p.items) {
-      if (i < 0 || i >= num_items) {
-        return Invalid(SectionId::kPreferences, "item id out of range");
-      }
-    }
-  }
-
-  if (m.has_lowrank) {
-    const auto& lr = m.lowrank;
-    // Same overflow discipline as the noisy table: a huge untrusted rank
-    // must not wrap nu * rank into the size the vectors happen to have.
-    const size_t rank = static_cast<size_t>(std::max<int64_t>(lr.rank, 0));
-    const bool b_sized = rank == 0 ? lr.b.empty()
-                                   : lr.b.size() % rank == 0 &&
-                                         lr.b.size() / rank == nu;
-    const bool l_sized = rank == 0 ? lr.l.empty()
-                                   : lr.l.size() % rank == 0 &&
-                                         lr.l.size() / rank == nu;
-    if (lr.rank < 0 || !b_sized || !l_sized) {
-      return Invalid(SectionId::kLowRank, "factor dimensions inconsistent");
-    }
-  }
   return Status::Ok();
 }
 
-// ---- Serve-side dense accumulator ----
-//
-// A byte-for-byte replica of similarity::DenseScratch's accumulation
-// semantics (zero-slot touch tracking, sorted strictly-positive
-// extraction). Replicated rather than reused because linking the
-// similarity library would pull the graph containers into the serving
-// closure, breaking the isolation guarantee; the artifact_test round-trip
-// pins the two implementations together.
-
-class DenseAccumulator {
- public:
-  void Resize(int64_t n) {
-    if (static_cast<size_t>(n) > values_.size()) {
-      values_.assign(static_cast<size_t>(n), 0.0);
-    }
-  }
-
-  void Accumulate(int64_t v, double x) {
-    double& slot = values_[static_cast<size_t>(v)];
-    if (slot == 0.0 && x != 0.0) touched_.push_back(v);
-    slot += x;
-  }
-
-  // Extracts all strictly-positive entries sorted by id, then clears.
-  std::vector<std::pair<int64_t, double>> TakeSortedPositive() {
-    std::sort(touched_.begin(), touched_.end());
-    std::vector<std::pair<int64_t, double>> out;
-    out.reserve(touched_.size());
-    for (int64_t v : touched_) {
-      double x = values_[static_cast<size_t>(v)];
-      if (x > 0.0) out.emplace_back(v, x);
-      values_[static_cast<size_t>(v)] = 0.0;
-    }
-    touched_.clear();
-    return out;
-  }
-
- private:
-  std::vector<double> values_;
-  std::vector<int64_t> touched_;
-};
-
-// mu_u = sum_{v in sim(u)} sim(u, v) * w(v, ·) over the artifact's
-// preference CSR — the serve twin of ExactRecommender::ComputeUtilityRow.
-std::vector<std::pair<int64_t, double>> ExactUtilityRow(
-    const ServingEngine& engine, graph::NodeId u, DenseAccumulator* scratch) {
-  scratch->Resize(engine.num_items());
-  for (const WorkloadEntry& e : engine.WorkloadRow(u)) {
-    auto items = engine.ItemsOf(e.user);
-    auto weights = engine.WeightsOf(e.user);
-    for (size_t k = 0; k < items.size(); ++k) {
-      scratch->Accumulate(items[k], e.score * weights[k]);
-    }
-  }
-  return scratch->TakeSortedPositive();
-}
-
-// ---- Serve mechanisms ----
-
-class ClusterServe final : public ServeRecommender {
- public:
-  explicit ClusterServe(const ServingEngine* engine) : engine_(engine) {}
-
-  std::string Name() const override { return "Cluster"; }
-
-  bool ConcurrentSafe() const override { return true; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    PRIVREC_SPAN("artifact.reconstruction");
-    core::RecommendedBatch batch;
-    const NoisyTableSection& noisy = engine_->model().noisy;
-    batch.report.empty_clusters = noisy.empty_clusters;
-    batch.report.singleton_clusters = noisy.singleton_clusters;
-    batch.report.nonfinite_sanitized = noisy.nonfinite_sanitized;
-    Result<int64_t> degraded = ReconstructTopN(
-        engine_->release_view(),
-        [this](graph::NodeId u) { return engine_->WorkloadRow(u); },
-        [this]() -> const std::vector<double>& {
-          return engine_->global_average();
-        },
-        users, top_n, &batch.lists, &batch.degradation);
-    PRIVREC_CHECK_MSG(degraded.ok(), degraded.status().message().c_str());
-    batch.report.users_degraded = *degraded;
-    core::RecordServingMetrics(batch);
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-};
-
-class ExactServe final : public ServeRecommender {
- public:
-  explicit ExactServe(const ServingEngine* engine) : engine_(engine) {}
-
-  std::string Name() const override { return "Exact"; }
-
-  bool ConcurrentSafe() const override { return true; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    core::RecommendedBatch batch;
-    batch.lists.resize(users.size());
-    batch.degradation.resize(users.size());
-    Status run = ParallelFor(
-        static_cast<int64_t>(users.size()),
-        [&](int64_t, int64_t begin, int64_t end) {
-          thread_local DenseAccumulator scratch;
-          for (int64_t k = begin; k < end; ++k) {
-            batch.lists[static_cast<size_t>(k)] = core::TopNFromSparse(
-                ExactUtilityRow(*engine_, users[static_cast<size_t>(k)],
-                                &scratch),
-                top_n);
-          }
-        });
-    PRIVREC_CHECK_MSG(run.ok(), run.message().c_str());
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-};
-
-class NouServe final : public ServeRecommender {
- public:
-  NouServe(const ServingEngine* engine, const ServeSpec& spec)
-      : engine_(engine),
-        spec_(spec),
-        sensitivity_(engine->model().workload.max_column_sum *
-                     engine->model().meta.max_weight) {}
-
-  std::string Name() const override { return "NOU"; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    const int64_t num_items = engine_->num_items();
-    dp::LaplaceMechanism laplace(spec_.epsilon,
-                                 Rng(spec_.seed).Fork(invocation_++));
-    const double sensitivity = std::max(sensitivity_, 1e-12);
-
-    core::RecommendedBatch batch;
-    batch.lists.reserve(users.size());
-    batch.degradation.resize(users.size());
-    std::vector<double> utilities(static_cast<size_t>(num_items));
-    for (graph::NodeId u : users) {
-      std::fill(utilities.begin(), utilities.end(), 0.0);
-      for (auto [item, value] : ExactUtilityRow(*engine_, u, &scratch_)) {
-        utilities[static_cast<size_t>(item)] = value;
-      }
-      for (int64_t i = 0; i < num_items; ++i) {
-        utilities[static_cast<size_t>(i)] =
-            laplace.Release(utilities[static_cast<size_t>(i)], sensitivity);
-      }
-      batch.lists.push_back(core::TopNFromDense(utilities, top_n));
-    }
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-  ServeSpec spec_;
-  double sensitivity_;
-  DenseAccumulator scratch_;
-  uint64_t invocation_ = 0;
-};
-
-class NoeServe final : public ServeRecommender {
- public:
-  NoeServe(const ServingEngine* engine, const ServeSpec& spec)
-      : engine_(engine), spec_(spec) {}
-
-  std::string Name() const override { return "NOE"; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    const int64_t num_users = engine_->num_users();
-    const int64_t num_items = engine_->num_items();
-    Rng rng = Rng(spec_.seed).Fork(invocation_++);
-
-    const bool noiseless = spec_.epsilon == dp::kEpsilonInfinity;
-    const double scale =
-        noiseless ? 0.0 : engine_->model().meta.max_weight / spec_.epsilon;
-    std::vector<float> sanitized(
-        static_cast<size_t>(num_users) * static_cast<size_t>(num_items),
-        0.0f);
-    if (!noiseless) {
-      for (float& w : sanitized) {
-        w = static_cast<float>(rng.Laplace(scale));
-      }
-    }
-    for (graph::NodeId v = 0; v < num_users; ++v) {
-      float* row = sanitized.data() +
-                   static_cast<size_t>(v) * static_cast<size_t>(num_items);
-      auto items = engine_->ItemsOf(v);
-      auto weights = engine_->WeightsOf(v);
-      for (size_t k = 0; k < items.size(); ++k) {
-        row[static_cast<size_t>(items[k])] +=
-            static_cast<float>(weights[k]);
-      }
-    }
-
-    core::RecommendedBatch batch;
-    batch.lists.reserve(users.size());
-    batch.degradation.resize(users.size());
-    std::vector<double> utilities(static_cast<size_t>(num_items));
-    for (graph::NodeId u : users) {
-      std::fill(utilities.begin(), utilities.end(), 0.0);
-      for (const WorkloadEntry& e : engine_->WorkloadRow(u)) {
-        const float* row =
-            sanitized.data() +
-            static_cast<size_t>(e.user) * static_cast<size_t>(num_items);
-        double s = e.score;
-        for (int64_t i = 0; i < num_items; ++i) {
-          utilities[static_cast<size_t>(i)] +=
-              s * static_cast<double>(row[static_cast<size_t>(i)]);
-        }
-      }
-      batch.lists.push_back(core::TopNFromDense(utilities, top_n));
-    }
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-  ServeSpec spec_;
-  uint64_t invocation_ = 0;
-};
-
-class GroupSmoothServe final : public ServeRecommender {
- public:
-  GroupSmoothServe(const ServingEngine* engine, const ServeSpec& spec)
-      : engine_(engine), spec_(spec) {}
-
-  std::string Name() const override { return "GS"; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    core::RecommendedBatch batch;
-    const int64_t num_users = engine_->num_users();
-    const int64_t num_items = engine_->num_items();
-    const int64_t m = std::min<int64_t>(spec_.gs_group_size, num_users);
-    Rng rng = Rng(spec_.seed).Fork(invocation_++);
-    const double half_eps = spec_.epsilon == dp::kEpsilonInfinity
-                                ? dp::kEpsilonInfinity
-                                : spec_.epsilon / 2.0;
-    dp::LaplaceMechanism rough_mech(half_eps, rng.Fork(1));
-    dp::LaplaceMechanism group_mech(half_eps, rng.Fork(2));
-    const double w_max = engine_->model().meta.max_weight;
-    const double rough_sensitivity =
-        std::max(engine_->model().workload.max_entry * w_max, 1e-12);
-    const double group_sensitivity =
-        std::max(engine_->model().workload.max_column_sum * w_max, 1e-12) /
-        static_cast<double>(m);
-
-    std::vector<int64_t> accumulator_of(static_cast<size_t>(num_users), -1);
-    std::vector<core::TopNAccumulator> accumulators;
-    accumulators.reserve(users.size());
-    for (size_t k = 0; k < users.size(); ++k) {
-      PRIVREC_CHECK_MSG(
-          accumulator_of[static_cast<size_t>(users[k])] == -1,
-          "duplicate user in Recommend batch");
-      accumulator_of[static_cast<size_t>(users[k])] =
-          static_cast<int64_t>(k);
-      accumulators.emplace_back(top_n);
-    }
-
-    std::vector<uint8_t> saw_sanitized(users.size(), 0);
-    std::vector<double> true_utilities(static_cast<size_t>(num_users));
-    std::vector<double> rough(static_cast<size_t>(num_users));
-    std::vector<graph::NodeId> order(static_cast<size_t>(num_users));
-
-    for (graph::ItemId i = 0; i < num_items; ++i) {
-      std::fill(true_utilities.begin(), true_utilities.end(), 0.0);
-      std::fill(rough.begin(), rough.end(), 0.0);
-
-      auto buyers = engine_->UsersOf(i);
-      auto buyer_weights = engine_->ItemWeights(i);
-      for (size_t b = 0; b < buyers.size(); ++b) {
-        graph::NodeId v = buyers[b];
-        double w = buyer_weights[b];
-        auto row = engine_->WorkloadRow(v);
-        for (const WorkloadEntry& e : row) {
-          true_utilities[static_cast<size_t>(e.user)] += e.score * w;
-        }
-        if (!row.empty()) {
-          const WorkloadEntry& pick = row[rng.UniformInt(row.size())];
-          rough[static_cast<size_t>(pick.user)] += pick.score * w;
-        }
-      }
-      for (graph::NodeId u = 0; u < num_users; ++u) {
-        rough[static_cast<size_t>(u)] = rough_mech.Release(
-            rough[static_cast<size_t>(u)], rough_sensitivity);
-      }
-
-      std::iota(order.begin(), order.end(), 0);
-      std::sort(order.begin(), order.end(),
-                [&](graph::NodeId a, graph::NodeId b) {
-                  double ra = rough[static_cast<size_t>(a)];
-                  double rb = rough[static_cast<size_t>(b)];
-                  if (ra != rb) return ra > rb;
-                  return a < b;
-                });
-      for (int64_t start = 0; start < num_users; start += m) {
-        int64_t end = std::min<int64_t>(start + m, num_users);
-        double sum = 0.0;
-        for (int64_t k = start; k < end; ++k) {
-          sum += true_utilities[static_cast<size_t>(
-              order[static_cast<size_t>(k)])];
-        }
-        double mean = sum / static_cast<double>(end - start);
-        double released = group_mech.Release(mean, group_sensitivity);
-        released = fault::MaybePoison("gs.group_mean", released);
-        bool sanitized = false;
-        if (!std::isfinite(released)) {
-          released = 0.0;
-          sanitized = true;
-          ++batch.report.nonfinite_sanitized;
-        }
-        if (end - start == num_users && num_users > 1) {
-          ++batch.report.degenerate_groups;
-        }
-        for (int64_t k = start; k < end; ++k) {
-          graph::NodeId u = order[static_cast<size_t>(k)];
-          int64_t slot = accumulator_of[static_cast<size_t>(u)];
-          if (slot >= 0) {
-            accumulators[static_cast<size_t>(slot)].Offer(i, released);
-            if (sanitized) saw_sanitized[static_cast<size_t>(slot)] = 1;
-          }
-        }
-      }
-    }
-
-    batch.lists.reserve(users.size());
-    batch.degradation.reserve(users.size());
-    for (size_t k = 0; k < users.size(); ++k) {
-      batch.lists.push_back(accumulators[k].Take());
-      core::DegradationInfo info;
-      if (engine_->WorkloadRow(users[k]).empty()) {
-        info.reason = core::DegradationReason::kIsolatedUser;
-      } else if (saw_sanitized[k]) {
-        info.reason = core::DegradationReason::kNonFiniteSanitized;
-      }
-      if (info.degraded()) ++batch.report.users_degraded;
-      batch.degradation.push_back(info);
-    }
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-  ServeSpec spec_;
-  uint64_t invocation_ = 0;
-};
-
-class LowRankServe final : public ServeRecommender {
- public:
-  LowRankServe(const ServingEngine* engine, const ServeSpec& spec)
-      : engine_(engine), spec_(spec) {}
-
-  std::string Name() const override { return "LRM"; }
-
-  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
-                                   int64_t top_n) override {
-    const LowRankSection& lr = engine_->model().lowrank;
-    const int64_t num_users = engine_->num_users();
-    const int64_t num_items = engine_->num_items();
-    const int64_t rank = lr.rank;
-    dp::LaplaceMechanism laplace(spec_.epsilon,
-                                 Rng(spec_.seed).Fork(invocation_++));
-    const double sensitivity = std::max(lr.noise_sensitivity, 1e-12);
-
-    std::vector<core::TopNAccumulator> accumulators;
-    accumulators.reserve(users.size());
-    for (size_t k = 0; k < users.size(); ++k) {
-      PRIVREC_CHECK(users[k] >= 0 && users[k] < num_users);
-      accumulators.emplace_back(top_n);
-    }
-
-    std::vector<double> strategy(static_cast<size_t>(rank));
-    for (graph::ItemId i = 0; i < num_items; ++i) {
-      std::fill(strategy.begin(), strategy.end(), 0.0);
-      auto buyers = engine_->UsersOf(i);
-      auto weights = engine_->ItemWeights(i);
-      for (size_t b = 0; b < buyers.size(); ++b) {
-        graph::NodeId v = buyers[b];
-        double w = weights[b];
-        // row-major rank x num_users
-        const double* l_col = engine_->lowrank_l();
-        for (int64_t k = 0; k < rank; ++k) {
-          strategy[static_cast<size_t>(k)] +=
-              w * l_col[static_cast<size_t>(k) *
-                            static_cast<size_t>(num_users) +
-                        static_cast<size_t>(v)];
-        }
-      }
-      for (int64_t k = 0; k < rank; ++k) {
-        strategy[static_cast<size_t>(k)] =
-            laplace.Release(strategy[static_cast<size_t>(k)], sensitivity);
-      }
-      for (size_t k = 0; k < users.size(); ++k) {
-        graph::NodeId u = users[k];
-        const double* row = engine_->lowrank_b() + static_cast<size_t>(u) *
-                                                       static_cast<size_t>(rank);
-        double acc = 0.0;
-        for (int64_t r = 0; r < rank; ++r) {
-          acc += row[r] * strategy[static_cast<size_t>(r)];
-        }
-        accumulators[k].Offer(i, acc);
-      }
-    }
-
-    core::RecommendedBatch batch;
-    batch.lists.reserve(users.size());
-    batch.degradation.resize(users.size());
-    for (core::TopNAccumulator& acc : accumulators) {
-      batch.lists.push_back(acc.Take());
-    }
-    return batch;
-  }
-
- private:
-  const ServingEngine* engine_;
-  ServeSpec spec_;
-  uint64_t invocation_ = 0;
-};
-
 }  // namespace
+
+core::RecommendedBatch ServeRecommender::Recommend(
+    const std::vector<graph::NodeId>& users, int64_t top_n) const {
+  PRIVREC_SPAN("artifact.reconstruction");
+  core::RecommendedBatch batch;
+  const NoisyTableSection& noisy = engine_->model().noisy;
+  batch.report.empty_clusters = noisy.empty_clusters;
+  batch.report.singleton_clusters = noisy.singleton_clusters;
+  batch.report.nonfinite_sanitized = noisy.nonfinite_sanitized;
+  Result<int64_t> degraded = ReconstructTopN(
+      engine_->release_view(),
+      [this](graph::NodeId u) { return engine_->WorkloadRow(u); },
+      [this]() -> const std::vector<double>& {
+        return engine_->global_average();
+      },
+      users, top_n, &batch.lists, &batch.degradation);
+  PRIVREC_CHECK_MSG(degraded.ok(), degraded.status().message().c_str());
+  batch.report.users_degraded = *degraded;
+  core::RecordServingMetrics(batch);
+  return batch;
+}
 
 ReleaseView ServingEngine::release_view() const {
   ReleaseView view;
@@ -611,20 +163,6 @@ void ServingEngine::BuildOwnedViews() {
     workload_row_[u] =
         model_.workload.entries.data() + model_.workload.offsets[u];
   }
-  if (model_.has_preferences) {
-    const PreferenceSection& p = model_.preferences;
-    pref_offsets_ = p.offsets.data();
-    pref_items_row_.resize(nu);
-    pref_weights_row_.resize(nu);
-    for (size_t u = 0; u < nu; ++u) {
-      pref_items_row_[u] = p.items.data() + p.offsets[u];
-      pref_weights_row_[u] = p.weights.data() + p.offsets[u];
-    }
-  }
-  if (model_.has_lowrank) {
-    lowrank_b_ = model_.lowrank.b.data();
-    lowrank_l_ = model_.lowrank.l.data();
-  }
 }
 
 Status ServingEngine::InitFromMapped() {
@@ -642,9 +180,6 @@ Status ServingEngine::InitFromMapped() {
   cluster_sizes_ = mapped_->cluster_sizes();
   sanitized_ = mapped_->sanitized();
   workload_offsets_ = mapped_->workload_offsets();
-  pref_offsets_ = mapped_->pref_offsets();
-  lowrank_b_ = mapped_->lowrank_b();
-  lowrank_l_ = mapped_->lowrank_l();
   shard_count_ = mapped_->shard_count();
 
   // Semantic validation — the same checks (and messages) ValidateModel
@@ -658,14 +193,12 @@ Status ServingEngine::InitFromMapped() {
   }
   const std::vector<ShardTableEntry>& table = mapped_->shard_table();
   uint64_t total_workload = 0;
-  uint64_t total_pref = 0;
   shard_of_cluster_.assign(nc, 0);
   for (size_t s = 0; s < table.size(); ++s) {
     for (int64_t c = table[s].cluster_begin; c < table[s].cluster_end; ++c) {
       shard_of_cluster_[static_cast<size_t>(c)] = static_cast<int32_t>(s);
     }
     total_workload += table[s].workload_entries;
-    total_pref += table[s].pref_edges;
   }
   if (workload_offsets_[0] != 0 || workload_offsets_[nu] != total_workload) {
     return Invalid(SectionId::kWorkload, "offsets do not index the entries");
@@ -675,31 +208,12 @@ Status ServingEngine::InitFromMapped() {
       return Invalid(SectionId::kWorkload, "offsets not monotone");
     }
   }
-  if (model_.has_preferences) {
-    if (pref_offsets_[0] != 0 || pref_offsets_[nu] != total_pref) {
-      return Invalid(SectionId::kPreferences,
-                     "offsets do not index the edges");
-    }
-    for (size_t u = 0; u < nu; ++u) {
-      if (pref_offsets_[u] > pref_offsets_[u + 1]) {
-        return Invalid(SectionId::kPreferences, "offsets not monotone");
-      }
-    }
-  }
   for (size_t s = 0; s < table.size(); ++s) {
     const MappedArtifact::Shard& sh = mapped_->shards()[s];
     for (uint64_t k = 0; k < table[s].workload_entries; ++k) {
       const int64_t v = sh.workload_entries[k].user;
       if (v < 0 || v >= num_users) {
         return Invalid(SectionId::kWorkload, "entry user out of range");
-      }
-    }
-    if (model_.has_preferences) {
-      for (uint64_t k = 0; k < table[s].pref_edges; ++k) {
-        const int64_t i = sh.pref_items[k];
-        if (i < 0 || i >= num_items) {
-          return Invalid(SectionId::kPreferences, "item id out of range");
-        }
       }
     }
   }
@@ -727,75 +241,20 @@ Status ServingEngine::InitFromMapped() {
   // so far may be served.
   workload_row_.resize(nu);
   std::vector<uint64_t> wcursor(table.size(), 0);
-  std::vector<uint64_t> pcursor(table.size(), 0);
-  if (model_.has_preferences) {
-    pref_items_row_.resize(nu);
-    pref_weights_row_.resize(nu);
-  }
   for (size_t u = 0; u < nu; ++u) {
     const auto s = static_cast<size_t>(
         shard_of_cluster_[static_cast<size_t>(cluster_of_[u])]);
     const MappedArtifact::Shard& sh = mapped_->shards()[s];
     workload_row_[u] = sh.workload_entries + wcursor[s];
     wcursor[s] += workload_offsets_[u + 1] - workload_offsets_[u];
-    if (model_.has_preferences) {
-      pref_items_row_[u] = sh.pref_items + pcursor[s];
-      pref_weights_row_[u] = sh.pref_weights + pcursor[s];
-      pcursor[s] += pref_offsets_[u + 1] - pref_offsets_[u];
-    }
   }
   for (size_t s = 0; s < table.size(); ++s) {
     if (wcursor[s] != table[s].workload_entries) {
       return Invalid(SectionId::kWorkload,
                      "shard workload rows disagree with the manifest totals");
     }
-    if (model_.has_preferences && pcursor[s] != table[s].pref_edges) {
-      return Invalid(
-          SectionId::kPreferences,
-          "shard preference rows disagree with the manifest totals");
-    }
   }
   return Status::Ok();
-}
-
-void ServingEngine::BuildDerived() {
-  // Derive the item-major preference CSR by a stable counting pass over
-  // the user-major rows: per item, users come out ascending — identical to
-  // PreferenceGraph::UsersOf ordering, which the GS/LRM serve loops need
-  // for bit-identical replay. Runs through the accessors, so owned and
-  // mapped storage produce the same derived arrays.
-  const size_t num_users = static_cast<size_t>(model_.meta.num_users);
-  const size_t num_items = static_cast<size_t>(model_.meta.num_items);
-  item_offsets_.assign(num_items + 1, 0);
-  if (model_.has_preferences) {
-    size_t total = 0;
-    for (size_t u = 0; u < num_users; ++u) {
-      for (int64_t i : ItemsOf(static_cast<graph::NodeId>(u))) {
-        ++item_offsets_[static_cast<size_t>(i) + 1];
-        ++total;
-      }
-    }
-    for (size_t i = 0; i < num_items; ++i) {
-      item_offsets_[i + 1] += item_offsets_[i];
-    }
-    item_users_.resize(total);
-    item_weights_.resize(total);
-    std::vector<uint64_t> cursor(item_offsets_.begin(),
-                                 item_offsets_.end() - 1);
-    for (size_t u = 0; u < num_users; ++u) {
-      auto items = ItemsOf(static_cast<graph::NodeId>(u));
-      auto weights = WeightsOf(static_cast<graph::NodeId>(u));
-      for (size_t k = 0; k < items.size(); ++k) {
-        const size_t i = static_cast<size_t>(items[k]);
-        const uint64_t slot = cursor[i]++;
-        item_users_[slot] = static_cast<int64_t>(u);
-        item_weights_[slot] = weights[k];
-      }
-    }
-  }
-  // The global-average fallback row is NOT computed here: it is lazy (see
-  // global_average()), so constructing an epoch during a swap storm costs
-  // no O(C·I) pass unless an isolated user actually arrives.
 }
 
 const std::vector<double>& ServingEngine::global_average() const {
@@ -813,7 +272,6 @@ Result<ServingEngine> ServingEngine::FromModel(ArtifactModel model) {
   ServingEngine engine;
   engine.model_ = std::move(model);
   engine.BuildOwnedViews();
-  engine.BuildDerived();
   return engine;
 }
 
@@ -828,23 +286,15 @@ Result<ServingEngine> ServingEngine::FromMapped(
   const ManifestMeta& mm = engine.mapped_->meta();
   engine.model_.meta = mm.meta;
   engine.model_.provenance = mm.provenance;
-  engine.model_.workload.max_column_sum = mm.max_column_sum;
-  engine.model_.workload.max_entry = mm.max_entry;
   engine.model_.noisy.num_clusters = mm.num_clusters;
   engine.model_.noisy.empty_clusters = mm.empty_clusters;
   engine.model_.noisy.singleton_clusters = mm.singleton_clusters;
   engine.model_.noisy.nonfinite_sanitized = mm.nonfinite_sanitized;
-  engine.model_.has_preferences = mm.has_preferences;
-  engine.model_.has_lowrank = mm.has_lowrank;
   engine.model_.has_noisy_f32 = mm.has_noisy_f32;
   engine.model_.noisy_f32.source_crc32 = mm.noisy_f32_source_crc32;
-  engine.model_.lowrank.rank = mm.lowrank_rank;
-  engine.model_.lowrank.noise_sensitivity = mm.lowrank_noise_sensitivity;
-  engine.model_.lowrank.factorization_error = mm.lowrank_factorization_error;
 
   Status init = engine.InitFromMapped();
   if (!init.ok()) return init;
-  engine.BuildDerived();
   return engine;
 }
 
@@ -887,65 +337,24 @@ Status ServingEngine::CheckEpsilon(double expected_epsilon) const {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<ServeRecommender>> MakeServeRecommender(
-    const ServingEngine* engine, const ServeSpec& spec) {
+Result<ServeRecommender> MakeServeRecommender(const ServingEngine* engine,
+                                              const ServeSpec& spec) {
   PRIVREC_CHECK(engine != nullptr);
+  if (spec.mechanism != "Cluster") {
+    return Status::InvalidArgument(
+        "the serve path serves only the Cluster mechanism, not '" +
+        spec.mechanism +
+        "'; the baselines are in-memory evaluators (core::MakeRecommender)");
+  }
   if (spec.expected_graph_hash != 0) {
     Status gate = engine->CheckGraph(spec.expected_graph_hash);
     if (!gate.ok()) return gate;
   }
-
-  if (spec.mechanism == "Cluster") {
-    // The cluster release is frozen in the artifact: serving it under a
-    // different ε than it paid would misreport the privacy guarantee.
-    Status gate = engine->CheckEpsilon(spec.epsilon);
-    if (!gate.ok()) return gate;
-    return std::unique_ptr<ServeRecommender>(
-        std::make_unique<ClusterServe>(engine));
-  }
-
-  if (!dp::IsValidEpsilon(spec.epsilon)) {
-    return Status::InvalidArgument("bad epsilon for mechanism '" +
-                                   spec.mechanism + "'");
-  }
-
-  if (spec.mechanism == "LRM") {
-    if (!engine->has_lowrank()) {
-      return Status::FailedPrecondition(
-          "artifact has no low_rank section; rebuild with LRM factors");
-    }
-    return std::unique_ptr<ServeRecommender>(
-        std::make_unique<LowRankServe>(engine, spec));
-  }
-
-  if (spec.mechanism == "Exact" || spec.mechanism == "NOU" ||
-      spec.mechanism == "NOE" || spec.mechanism == "GS") {
-    if (!engine->has_preferences()) {
-      return Status::FailedPrecondition(
-          "artifact has no preferences section (reference baselines need "
-          "one; rebuild with include_reference_sections)");
-    }
-    if (spec.mechanism == "Exact") {
-      return std::unique_ptr<ServeRecommender>(
-          std::make_unique<ExactServe>(engine));
-    }
-    if (spec.mechanism == "NOU") {
-      return std::unique_ptr<ServeRecommender>(
-          std::make_unique<NouServe>(engine, spec));
-    }
-    if (spec.mechanism == "NOE") {
-      return std::unique_ptr<ServeRecommender>(
-          std::make_unique<NoeServe>(engine, spec));
-    }
-    if (spec.gs_group_size < 1) {
-      return Status::InvalidArgument("gs_group_size must be >= 1");
-    }
-    return std::unique_ptr<ServeRecommender>(
-        std::make_unique<GroupSmoothServe>(engine, spec));
-  }
-
-  return Status::InvalidArgument("unknown mechanism '" + spec.mechanism +
-                                 "'");
+  // The cluster release is frozen in the artifact: serving it under a
+  // different ε than it paid would misreport the privacy guarantee.
+  Status gate = engine->CheckEpsilon(spec.epsilon);
+  if (!gate.ok()) return gate;
+  return ServeRecommender(engine);
 }
 
 }  // namespace privrec::serving

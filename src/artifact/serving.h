@@ -2,8 +2,9 @@
 //
 // An engine wraps one immutable artifact — either an owned ArtifactModel
 // handed over in memory or a zero-copy MappedArtifact view of a .pvram
-// manifest and its shards — and
-// constructs serve-side recommenders that read ONLY artifact sections.
+// manifest and its shards — and serves the paper's mechanism from it:
+// Algorithm 1's per-user reconstruction over the released noisy
+// per-(cluster, item) table, reading ONLY artifact sections.
 // The private PreferenceGraph type is not merely unused here — it is
 // unlinkable: the privrec_serving library must not depend on
 // privrec_graph, which CMake asserts and artifact_test verifies at the
@@ -12,11 +13,10 @@
 // on the sanitized release.
 //
 // Both storage modes expose identical accessors through per-row pointer
-// tables built once at construction, so every serve mechanism is
-// storage-oblivious: for a fixed seed the k-th serve call is bit-identical
-// to the k-th Recommend of a fresh in-memory recommender at any thread
-// count, whether the bytes live in owned vectors, an mmap, or the
-// read-into-buffer fallback. sharded_artifact_test pins the full matrix.
+// tables built once at construction, so serving is storage-oblivious: the
+// served lists are bit-identical to the in-memory ClusterRecommender's at
+// any thread count, whether the bytes live in owned vectors, an mmap, or
+// the read-into-buffer fallback. sharded_artifact_test pins the matrix.
 
 #ifndef PRIVREC_ARTIFACT_SERVING_H_
 #define PRIVREC_ARTIFACT_SERVING_H_
@@ -67,9 +67,9 @@ class ServingEngine {
   ServingEngine(const ServingEngine&) = delete;
   ServingEngine& operator=(const ServingEngine&) = delete;
 
-  // Scalars (meta, provenance, workload bounds, noisy-table counters,
-  // low-rank dimensions) are always populated; in mapped mode the bulk
-  // arrays inside stay empty — go through the accessors below instead.
+  // Scalars (meta, provenance, noisy-table counters) are always
+  // populated; in mapped mode the bulk arrays inside stay empty — go
+  // through the accessors below instead.
   const ArtifactModel& model() const { return model_; }
 
   bool mapped() const { return mapped_ != nullptr; }
@@ -102,36 +102,6 @@ class ServingEngine {
                                 workload_offsets_[i])};
   }
 
-  bool has_preferences() const { return model_.has_preferences; }
-  bool has_lowrank() const { return model_.has_lowrank; }
-
-  // Preference CSR accessors (only valid when has_preferences()).
-  std::span<const int64_t> ItemsOf(graph::NodeId u) const {
-    const auto i = static_cast<size_t>(u);
-    return {pref_items_row_[i],
-            static_cast<size_t>(pref_offsets_[i + 1] - pref_offsets_[i])};
-  }
-  std::span<const double> WeightsOf(graph::NodeId u) const {
-    const auto i = static_cast<size_t>(u);
-    return {pref_weights_row_[i],
-            static_cast<size_t>(pref_offsets_[i + 1] - pref_offsets_[i])};
-  }
-  // Item-major view, derived once at construction (users ascending per
-  // item — the same order PreferenceGraph::UsersOf yields).
-  std::span<const int64_t> UsersOf(graph::ItemId i) const {
-    return {item_users_.data() + item_offsets_[static_cast<size_t>(i)],
-            item_users_.data() + item_offsets_[static_cast<size_t>(i) + 1]};
-  }
-  std::span<const double> ItemWeights(graph::ItemId i) const {
-    return {item_weights_.data() + item_offsets_[static_cast<size_t>(i)],
-            item_weights_.data() + item_offsets_[static_cast<size_t>(i) + 1]};
-  }
-
-  // Low-rank factors (only valid when has_lowrank()): B is num_users x
-  // rank row-major, L is rank x num_users row-major.
-  const double* lowrank_b() const { return lowrank_b_; }
-  const double* lowrank_l() const { return lowrank_l_; }
-
   // The A_w release as a reconstruction view. The view carries the f32
   // mirror when the artifact has one, so reconstruction runs half-width.
   ReleaseView release_view() const;
@@ -146,39 +116,28 @@ class ServingEngine {
   // View construction. Owned mode points the tables into model_'s
   // vectors; mapped mode points them into the mapped files and runs the
   // semantic validation ValidateModel would have run on an owned model
-  // (same error messages for the same defects). BuildDerived then computes
-  // the item-major CSR and the global fallback row through the accessors,
-  // identically in both modes.
+  // (same error messages for the same defects).
   void BuildOwnedViews();
   Status InitFromMapped();
-  void BuildDerived();
 
   ArtifactModel model_;
   std::shared_ptr<const MappedArtifact> mapped_;
 
   // Unified storage views (owned- or mapped-backed).
   const uint64_t* workload_offsets_ = nullptr;  // num_users + 1
-  const uint64_t* pref_offsets_ = nullptr;      // num_users + 1 (optional)
   std::vector<const WorkloadEntry*> workload_row_;  // per user
-  std::vector<const int64_t*> pref_items_row_;      // per user (optional)
-  std::vector<const double*> pref_weights_row_;     // per user (optional)
   std::vector<const double*> cluster_rows_;         // per cluster
   std::vector<const float*> cluster_rows_f32_;      // per cluster (optional)
   const uint8_t* sanitized_ = nullptr;
   const int64_t* cluster_of_ = nullptr;
   const int64_t* cluster_sizes_ = nullptr;
-  const double* lowrank_b_ = nullptr;
-  const double* lowrank_l_ = nullptr;
   int64_t num_clusters_ = 0;
   uint32_t shard_count_ = 1;
   std::vector<int32_t> shard_of_cluster_;  // per cluster
 
-  // Derived (not persisted): item-major preference CSR and the lazy
-  // global fallback row. The row lives behind a shared_ptr because the
-  // engine is move-only while std::once_flag is not movable at all.
-  std::vector<uint64_t> item_offsets_;
-  std::vector<int64_t> item_users_;
-  std::vector<double> item_weights_;
+  // Derived (not persisted): the lazy global fallback row. It lives behind
+  // a shared_ptr because the engine is move-only while std::once_flag is
+  // not movable at all.
   struct LazyGlobal {
     std::once_flag once;
     std::vector<double> row;
@@ -186,45 +145,47 @@ class ServingEngine {
   std::shared_ptr<LazyGlobal> global_ = std::make_shared<LazyGlobal>();
 };
 
-// What to serve from an engine. `epsilon` is the gate value for the
-// Cluster path (noise is already frozen in the artifact) and the
-// serve-time noise budget for the reference baselines, which draw fresh
-// noise per call from `seed`.
+// What to serve from an engine.
 struct ServeSpec {
+  // The serve path serves only the paper's mechanism: any value other
+  // than "Cluster" is kInvalidArgument. The field remains because the
+  // perfbench workloads still assign it.
   std::string mechanism = "Cluster";
+  // The ε the caller expects this release to have paid — a gate, not a
+  // budget: the noise is already frozen in the artifact.
   double epsilon = 1.0;
-  uint64_t seed = 1;
-  int64_t gs_group_size = 128;
   // When nonzero, the engine must match this dataset fingerprint
   // (kGraphMismatch otherwise).
   uint64_t expected_graph_hash = 0;
 };
 
-// A recommender over a loaded artifact. Unlike core::Recommender this is
-// constructed fallibly (the compatibility gates run at construction) and
-// reports degradation with every batch.
+// The paper's mechanism over a loaded artifact: each user's utilities are
+// rebuilt from the released per-(cluster, item) averages, weighted by the
+// user's similarity to each cluster. Pure post-processing of the frozen
+// release, so Recommend keeps no per-call state and concurrent calls on
+// one instance are safe. Unlike core::Recommender it is constructed
+// fallibly (MakeServeRecommender runs the compatibility gates) and
+// reports degradation with every batch. The engine must outlive it.
 class ServeRecommender {
  public:
-  virtual ~ServeRecommender() = default;
-  virtual std::string Name() const = 0;
-  virtual core::RecommendedBatch Recommend(
-      const std::vector<graph::NodeId>& users, int64_t top_n) = 0;
+  std::string Name() const { return "Cluster"; }
+  core::RecommendedBatch Recommend(const std::vector<graph::NodeId>& users,
+                                   int64_t top_n) const;
 
-  // True when concurrent Recommend calls on one instance are safe (the
-  // mechanism keeps no per-call mutable state — Cluster and Exact read the
-  // frozen artifact only). The fresh-noise baselines advance an invocation
-  // counter per call, so the serving runtime serializes them per epoch.
-  virtual bool ConcurrentSafe() const { return false; }
+ private:
+  friend Result<ServeRecommender> MakeServeRecommender(
+      const ServingEngine* engine, const ServeSpec& spec);
+  explicit ServeRecommender(const ServingEngine* engine) : engine_(engine) {}
+
+  const ServingEngine* engine_;
 };
 
-// Constructs the serve path for `spec.mechanism` ("Exact", "Cluster",
-// "NOU", "NOE", "GS", "LRM"). The engine must outlive the recommender.
-// Errors: kGraphMismatch / kProvenanceMismatch per the gates above,
-// kFailedPrecondition when the artifact lacks the sections the mechanism
-// needs (preferences for the baselines, low-rank factors for LRM),
-// kInvalidArgument for an unknown mechanism or bad parameters.
-Result<std::unique_ptr<ServeRecommender>> MakeServeRecommender(
-    const ServingEngine* engine, const ServeSpec& spec);
+// The gated constructor. Errors: kInvalidArgument for any mechanism other
+// than "Cluster" (the baselines are in-memory evaluators —
+// core::MakeRecommender), kGraphMismatch / kProvenanceMismatch per the
+// gates above.
+Result<ServeRecommender> MakeServeRecommender(const ServingEngine* engine,
+                                              const ServeSpec& spec);
 
 }  // namespace privrec::serving
 

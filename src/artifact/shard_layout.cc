@@ -34,7 +34,7 @@ namespace {
 
 constexpr uint64_t kFrameHeaderBytes = 16;
 constexpr uint64_t kTableEntryBytes = 32;
-// A manifest has at most 9 sections and a shard 5; anything claiming more
+// A manifest has at most 6 sections and a shard 4; anything claiming more
 // is damage, not data.
 constexpr uint32_t kMaxSections = 64;
 
@@ -104,9 +104,6 @@ const char* ManifestSectionName(ManifestSectionId id) {
     case ManifestSectionId::kClusterSizes: return "cluster_sizes";
     case ManifestSectionId::kSanitizedFlags: return "sanitized_flags";
     case ManifestSectionId::kWorkloadOffsets: return "workload_offsets";
-    case ManifestSectionId::kPrefOffsets: return "pref_offsets";
-    case ManifestSectionId::kLowRankB: return "low_rank_b";
-    case ManifestSectionId::kLowRankL: return "low_rank_l";
   }
   return "unknown";
 }
@@ -116,8 +113,6 @@ const char* ShardSectionName(ShardSectionId id) {
     case ShardSectionId::kShardHeader: return "shard_header";
     case ShardSectionId::kNoisyRows: return "noisy_rows";
     case ShardSectionId::kWorkloadEntries: return "workload_entries";
-    case ShardSectionId::kPrefItems: return "pref_items";
-    case ShardSectionId::kPrefWeights: return "pref_weights";
     case ShardSectionId::kNoisyRowsF32: return "noisy_rows_f32";
   }
   return "unknown";
@@ -225,24 +220,15 @@ std::string EncodeManifestMeta(const ManifestMeta& m) {
   w.I64(m.meta.num_users);
   w.I64(m.meta.num_items);
   w.I64(m.meta.num_social_edges);
-  w.I64(m.meta.num_preference_edges);
-  w.F64(m.meta.max_weight);
   w.Str(m.meta.measure_name);
   w.F64(m.provenance.epsilon);
   w.F64(m.provenance.sensitivity);
   w.U64(m.provenance.seed);
   w.Str(m.provenance.ledger_id);
-  w.F64(m.max_column_sum);
-  w.F64(m.max_entry);
   w.I64(m.num_clusters);
   w.I64(m.empty_clusters);
   w.I64(m.singleton_clusters);
   w.I64(m.nonfinite_sanitized);
-  w.U8(m.has_preferences ? 1 : 0);
-  w.U8(m.has_lowrank ? 1 : 0);
-  w.I64(m.lowrank_rank);
-  w.F64(m.lowrank_noise_sensitivity);
-  w.F64(m.lowrank_factorization_error);
   w.U32(m.shard_count);
   w.U64(m.artifact_token);
   w.U8(m.has_noisy_f32 ? 1 : 0);
@@ -252,25 +238,18 @@ std::string EncodeManifestMeta(const ManifestMeta& m) {
 
 Status DecodeManifestMeta(const std::string& payload, ManifestMeta* m) {
   ByteReader r(payload, ManifestSectionName(ManifestSectionId::kManifestMeta));
-  uint8_t has_prefs = 0, has_lowrank = 0, has_f32 = 0;
+  uint8_t has_f32 = 0;
   if (!r.U64(&m->meta.graph_hash) || !r.I64(&m->meta.num_users) ||
       !r.I64(&m->meta.num_items) || !r.I64(&m->meta.num_social_edges) ||
-      !r.I64(&m->meta.num_preference_edges) || !r.F64(&m->meta.max_weight) ||
       !r.Str(&m->meta.measure_name) || !r.F64(&m->provenance.epsilon) ||
       !r.F64(&m->provenance.sensitivity) || !r.U64(&m->provenance.seed) ||
-      !r.Str(&m->provenance.ledger_id) || !r.F64(&m->max_column_sum) ||
-      !r.F64(&m->max_entry) || !r.I64(&m->num_clusters) ||
+      !r.Str(&m->provenance.ledger_id) || !r.I64(&m->num_clusters) ||
       !r.I64(&m->empty_clusters) || !r.I64(&m->singleton_clusters) ||
-      !r.I64(&m->nonfinite_sanitized) || !r.U8(&has_prefs) ||
-      !r.U8(&has_lowrank) || !r.I64(&m->lowrank_rank) ||
-      !r.F64(&m->lowrank_noise_sensitivity) ||
-      !r.F64(&m->lowrank_factorization_error) || !r.U32(&m->shard_count) ||
+      !r.I64(&m->nonfinite_sanitized) || !r.U32(&m->shard_count) ||
       !r.U64(&m->artifact_token) || !r.U8(&has_f32) ||
       !r.U32(&m->noisy_f32_source_crc32) || !r.AtEnd()) {
     return r.Truncated();
   }
-  m->has_preferences = has_prefs != 0;
-  m->has_lowrank = has_lowrank != 0;
   m->has_noisy_f32 = has_f32 != 0;
   if (m->meta.num_users < 0 || m->meta.num_items < 0) return r.Truncated();
   return Status::Ok();
@@ -287,7 +266,6 @@ std::string EncodeShardTable(const std::vector<ShardTableEntry>& t) {
     w.U32(e.frame_crc32);
     w.U64(e.noisy_values);
     w.U64(e.workload_entries);
-    w.U64(e.pref_edges);
   }
   return w.Take();
 }
@@ -302,7 +280,7 @@ Status DecodeShardTable(const std::string& payload,
     if (!r.Str(&e.file) || !r.I64(&e.cluster_begin) ||
         !r.I64(&e.cluster_end) || !r.U64(&e.file_size) ||
         !r.U32(&e.frame_crc32) || !r.U64(&e.noisy_values) ||
-        !r.U64(&e.workload_entries) || !r.U64(&e.pref_edges)) {
+        !r.U64(&e.workload_entries)) {
       return r.Truncated();
     }
   }
@@ -320,7 +298,6 @@ std::string EncodeShardHeader(const ShardHeader& h) {
   w.I64(h.cluster_end);
   w.I64(h.num_items);
   w.U64(h.workload_entries);
-  w.U64(h.pref_edges);
   return w.Take();
 }
 
@@ -330,7 +307,7 @@ Status DecodeShardHeader(const std::string& payload, ShardHeader* h) {
       !r.U32(&h->shard_index) || !r.U32(&h->shard_count) ||
       !r.I64(&h->cluster_begin) || !r.I64(&h->cluster_end) ||
       !r.I64(&h->num_items) || !r.U64(&h->workload_entries) ||
-      !r.U64(&h->pref_edges) || !r.AtEnd()) {
+      !r.AtEnd()) {
     return r.Truncated();
   }
   return Status::Ok();
@@ -432,25 +409,18 @@ Status SaveShardedArtifact(const ArtifactModel& model,
   for (uint32_t s = 0; s < shard_count; ++s) {
     const int64_t cb = bounds[s], ce = bounds[s + 1];
 
-    // The shard's users' workload / preference rows in ascending user
-    // order — the order the loader rebuilds its per-user row pointers in,
-    // so round-tripping is exact. With one shard that is the model's own
-    // CSR, viewed in place; with several, each shard gathers its users'
-    // rows into a buffer of its own.
-    std::string workload_blob, pref_items_blob, pref_weights_blob;
-    std::string_view workload_bytes, pref_items_bytes, pref_weights_bytes;
-    uint64_t entry_count = 0, pref_count = 0;
+    // The shard's users' workload rows in ascending user order — the
+    // order the loader rebuilds its per-user row pointers in, so
+    // round-tripping is exact. With one shard that is the model's own CSR,
+    // viewed in place; with several, each shard gathers its users' rows
+    // into a buffer of its own.
+    std::string workload_blob;
+    std::string_view workload_bytes;
+    uint64_t entry_count = 0;
     if (shard_count == 1) {
       entry_count = model.workload.entries.size();
       workload_bytes = RawBytes(model.workload.entries.data(),
                                 entry_count * sizeof(WorkloadEntry));
-      if (model.has_preferences) {
-        pref_count = model.preferences.items.size();
-        pref_items_bytes = RawBytes(model.preferences.items.data(),
-                                    pref_count * sizeof(int64_t));
-        pref_weights_bytes = RawBytes(model.preferences.weights.data(),
-                                      pref_count * sizeof(double));
-      }
     } else {
       for (size_t u = 0; u < num_users; ++u) {
         const uint32_t us = shard_of_cluster[static_cast<size_t>(
@@ -461,21 +431,8 @@ Status SaveShardedArtifact(const ArtifactModel& model,
         workload_blob.append(RawBytes(model.workload.entries.data() + begin,
                                       (end - begin) * sizeof(WorkloadEntry)));
         entry_count += end - begin;
-        if (model.has_preferences) {
-          const uint64_t pb = model.preferences.offsets[u];
-          const uint64_t pe = model.preferences.offsets[u + 1];
-          pref_items_blob.append(
-              RawBytes(model.preferences.items.data() + pb,
-                       (pe - pb) * sizeof(int64_t)));
-          pref_weights_blob.append(
-              RawBytes(model.preferences.weights.data() + pb,
-                       (pe - pb) * sizeof(double)));
-          pref_count += pe - pb;
-        }
       }
       workload_bytes = workload_blob;
-      pref_items_bytes = pref_items_blob;
-      pref_weights_bytes = pref_weights_blob;
     }
 
     ShardHeader header;
@@ -487,7 +444,6 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     header.cluster_end = ce;
     header.num_items = model.meta.num_items;
     header.workload_entries = entry_count;
-    header.pref_edges = pref_count;
 
     const std::string header_blob = EncodeShardHeader(header);
     std::vector<AlignedSection> sections;
@@ -510,13 +466,6 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     sections.push_back(
         {static_cast<uint32_t>(ShardSectionId::kWorkloadEntries),
          workload_bytes});
-    if (model.has_preferences) {
-      sections.push_back({static_cast<uint32_t>(ShardSectionId::kPrefItems),
-                          pref_items_bytes});
-      sections.push_back(
-          {static_cast<uint32_t>(ShardSectionId::kPrefWeights),
-           pref_weights_bytes});
-    }
 
     const std::string bytes =
         EncodeAlignedContainer(kShardMagic, kShardFormatVersion, sections);
@@ -541,23 +490,15 @@ Status SaveShardedArtifact(const ArtifactModel& model,
     e.frame_crc32 = frame_crc;
     e.noisy_values = static_cast<uint64_t>(ce - cb) * num_items;
     e.workload_entries = entry_count;
-    e.pref_edges = pref_count;
   }
 
   ManifestMeta meta;
   meta.meta = model.meta;
   meta.provenance = model.provenance;
-  meta.max_column_sum = model.workload.max_column_sum;
-  meta.max_entry = model.workload.max_entry;
   meta.num_clusters = model.noisy.num_clusters;
   meta.empty_clusters = model.noisy.empty_clusters;
   meta.singleton_clusters = model.noisy.singleton_clusters;
   meta.nonfinite_sanitized = model.noisy.nonfinite_sanitized;
-  meta.has_preferences = model.has_preferences;
-  meta.has_lowrank = model.has_lowrank;
-  meta.lowrank_rank = model.lowrank.rank;
-  meta.lowrank_noise_sensitivity = model.lowrank.noise_sensitivity;
-  meta.lowrank_factorization_error = model.lowrank.factorization_error;
   meta.shard_count = shard_count;
   meta.artifact_token = token;
   meta.has_noisy_f32 = model.has_noisy_f32;
@@ -585,22 +526,6 @@ Status SaveShardedArtifact(const ArtifactModel& model,
       {static_cast<uint32_t>(ManifestSectionId::kWorkloadOffsets),
        RawBytes(model.workload.offsets.data(),
                 model.workload.offsets.size() * sizeof(uint64_t))});
-  if (model.has_preferences) {
-    sections.push_back(
-        {static_cast<uint32_t>(ManifestSectionId::kPrefOffsets),
-         RawBytes(model.preferences.offsets.data(),
-                  model.preferences.offsets.size() * sizeof(uint64_t))});
-  }
-  if (model.has_lowrank) {
-    sections.push_back(
-        {static_cast<uint32_t>(ManifestSectionId::kLowRankB),
-         RawBytes(model.lowrank.b.data(),
-                  model.lowrank.b.size() * sizeof(double))});
-    sections.push_back(
-        {static_cast<uint32_t>(ManifestSectionId::kLowRankL),
-         RawBytes(model.lowrank.l.data(),
-                  model.lowrank.l.size() * sizeof(double))});
-  }
 
   const std::string manifest =
       EncodeAlignedContainer(kManifestMagic, kShardFormatVersion, sections);

@@ -3,14 +3,14 @@
 // table, and section payloads placed at 64-byte-aligned file offsets with
 // zero padding between them. It is the only on-disk form of a release; a
 // one-shard set (SaveArtifact, artifact/model_io.h) is the unsharded case.
-// The alignment is the point: the noisy-table rows, the workload CSR
-// records and the preference CSR arrays are stored as raw little-endian
+// The alignment is the point: the noisy-table rows and the workload CSR
+// records are stored as raw little-endian
 // fixed-width arrays, so a reader that maps the file can serve them in
 // place (artifact/mapped.h) without a deserialize pass.
 //
 // Sharding axis (and why it is ε-free): the builder partitions the noisy
-// table by cluster range, and every user's workload/preference rows land
-// in the shard owning the user's cluster. All noise was drawn at build
+// table by cluster range, and every user's workload row lands in the
+// shard owning the user's cluster. All noise was drawn at build
 // time, so splitting the frozen release across files is pure
 // post-processing — byte-identical serving is provable, and
 // sharded_artifact_test proves it.
@@ -47,7 +47,9 @@ namespace privrec::serving {
 // a shard file passed by mistake from its manifest.
 inline constexpr uint32_t kManifestMagic = 0x4D525650;
 inline constexpr uint32_t kShardMagic = 0x53525650;
-inline constexpr uint32_t kShardFormatVersion = 1;
+// Version 2 dropped the baselines' preference and low-rank sections and
+// the metadata only they read; a version-1 set is kVersionMismatch.
+inline constexpr uint32_t kShardFormatVersion = 2;
 
 // Payload alignment. 64 covers every element type in the format (max 8)
 // with headroom for cache-line-aligned access.
@@ -61,9 +63,8 @@ enum class ManifestSectionId : uint32_t {
   kClusterSizes = 4,     // raw i64[num_clusters]
   kSanitizedFlags = 5,   // raw u8[num_clusters]
   kWorkloadOffsets = 6,  // raw u64[num_users + 1]
-  kPrefOffsets = 7,      // raw u64[num_users + 1] (optional)
-  kLowRankB = 8,         // raw f64[num_users * rank] (optional)
-  kLowRankL = 9,         // raw f64[rank * num_users] (optional)
+  // 7-9 are retired (version 1's preference offsets and low-rank B/L);
+  // never reuse them.
 };
 
 // Shard section ids. On-disk values; never renumber.
@@ -71,8 +72,8 @@ enum class ShardSectionId : uint32_t {
   kShardHeader = 1,       // ByteWriter blob (ShardHeader)
   kNoisyRows = 2,         // raw f64[(cluster_end-cluster_begin) * num_items]
   kWorkloadEntries = 3,   // raw WorkloadEntry[workload_entries] (16 B each)
-  kPrefItems = 4,         // raw i64[pref_edges] (optional)
-  kPrefWeights = 5,       // raw f64[pref_edges] (optional)
+  // 4-5 are retired (version 1's preference items/weights); never reuse
+  // them.
   kNoisyRowsF32 = 6,      // raw f32, same shape as kNoisyRows (optional)
 };
 
@@ -123,22 +124,16 @@ Result<AlignedContainerView> ParseAlignedContainer(const char* data,
 
 // ---- Manifest / shard metadata blobs ----
 
-// Everything global and scalar-sized: the monolithic sections 1/5 plus the
-// scalars of 3/4 and 7 whose arrays moved into shards or raw sections.
+// Everything global and scalar-sized: the model's graph-meta and
+// provenance sections plus the noisy table's scalars, whose arrays moved
+// into shards or raw sections.
 struct ManifestMeta {
   GraphMetaSection meta;
   ProvenanceSection provenance;
-  double max_column_sum = 0.0;  // WorkloadSection scalars
-  double max_entry = 0.0;
   int64_t num_clusters = 0;  // NoisyTableSection scalars
   int64_t empty_clusters = 0;
   int64_t singleton_clusters = 0;
   int64_t nonfinite_sanitized = 0;
-  bool has_preferences = false;
-  bool has_lowrank = false;
-  int64_t lowrank_rank = 0;  // LowRankSection scalars
-  double lowrank_noise_sensitivity = 0.0;
-  double lowrank_factorization_error = 0.0;
   uint32_t shard_count = 0;
   // Identity of this build: a deterministic mix of the dataset
   // fingerprint and the DP provenance. Every shard repeats it, so a shard
@@ -147,8 +142,6 @@ struct ManifestMeta {
   uint64_t artifact_token = 0;
   // Whether every shard carries a kNoisyRowsF32 mirror, and the CRC-32 of
   // the f64 values it was quantized from (NoisyTableF32Section semantics).
-  // Appended at the end of the encoded blob, per the meta's
-  // append-extensibility discipline.
   bool has_noisy_f32 = false;
   uint32_t noisy_f32_source_crc32 = 0;
 };
@@ -161,7 +154,6 @@ struct ShardTableEntry {
   uint32_t frame_crc32 = 0;  // CRC of the shard's header + section table
   uint64_t noisy_values = 0;      // f64 count
   uint64_t workload_entries = 0;  // WorkloadEntry count
-  uint64_t pref_edges = 0;        // preference edge count
 };
 
 struct ShardHeader {
@@ -173,7 +165,6 @@ struct ShardHeader {
   int64_t cluster_end = 0;
   int64_t num_items = 0;
   uint64_t workload_entries = 0;
-  uint64_t pref_edges = 0;
 };
 
 std::string EncodeManifestMeta(const ManifestMeta& m);

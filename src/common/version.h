@@ -3,8 +3,9 @@
 #ifndef PRIVREC_COMMON_VERSION_H_
 #define PRIVREC_COMMON_VERSION_H_
 
-// Stamped by CMake with `git rev-parse --short HEAD` at configure time so
-// that benchmark records (BENCH_*.json) identify the code they measured.
+// Stamped by CMake with `git describe --always --dirty` at configure time
+// so that benchmark records (BENCH_*.json) identify the code they
+// measured; a modified working tree reads "<rev>-dirty".
 #ifndef PRIVREC_GIT_REVISION
 #define PRIVREC_GIT_REVISION "unknown"
 #endif

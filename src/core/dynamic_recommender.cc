@@ -193,7 +193,6 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
       artifact::BuildOptions build_options;
       build_options.epsilon = epsilon;
       build_options.seed = noise_seed;
-      build_options.include_reference_sections = false;
       build_options.ledger_id =
           options_.ledger_path.empty()
               ? "snapshot_" + std::to_string(t)
@@ -208,13 +207,12 @@ Result<SnapshotRelease> DynamicRecommenderSession::ProcessSnapshot(
       engine.emplace(std::move(loaded).value());
     }
     serving::ServeSpec spec;
-    spec.mechanism = "Cluster";
     spec.epsilon = epsilon;
     spec.expected_graph_hash = builder.graph_hash();
-    Result<std::unique_ptr<serving::ServeRecommender>> server =
+    Result<serving::ServeRecommender> server =
         serving::MakeServeRecommender(&*engine, spec);
     if (!server.ok()) return server.status();
-    batch = (*server)->Recommend(users, top_n);
+    batch = server->Recommend(users, top_n);
     artifact_path = path;
   } else {
     ClusterRecommender recommender(context, clustering,

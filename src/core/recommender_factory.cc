@@ -13,37 +13,27 @@ namespace privrec::core {
 
 namespace {
 
-// Adapts a serving::ServeRecommender to the core::Recommender interface.
-// Optionally co-owns the engine (MakeArtifactRecommender) so the serve
-// path needs no external lifetime management.
+// Adapts a serving::ServeRecommender to the core::Recommender interface,
+// co-owning the engine so the serve path needs no external lifetime
+// management.
 class ArtifactBackedRecommender : public Recommender {
  public:
   ArtifactBackedRecommender(
-      std::shared_ptr<const serving::ServingEngine> owned_engine,
-      std::unique_ptr<serving::ServeRecommender> server)
-      : owned_engine_(std::move(owned_engine)), server_(std::move(server)) {}
+      std::shared_ptr<const serving::ServingEngine> engine,
+      serving::ServeRecommender server)
+      : engine_(std::move(engine)), server_(std::move(server)) {}
 
-  std::string Name() const override { return server_->Name(); }
+  std::string Name() const override { return server_.Name(); }
 
   std::vector<RecommendationList> Recommend(
       const std::vector<graph::NodeId>& users, int64_t top_n) override {
-    return std::move(server_->Recommend(users, top_n).lists);
+    return std::move(server_.Recommend(users, top_n).lists);
   }
 
  private:
-  std::shared_ptr<const serving::ServingEngine> owned_engine_;
-  std::unique_ptr<serving::ServeRecommender> server_;
+  std::shared_ptr<const serving::ServingEngine> engine_;
+  serving::ServeRecommender server_;
 };
-
-serving::ServeSpec ToServeSpec(const RecommenderSpec& spec) {
-  serving::ServeSpec serve;
-  serve.mechanism = spec.mechanism;
-  serve.epsilon = spec.epsilon;
-  serve.seed = spec.seed;
-  serve.gs_group_size = spec.gs_group_size;
-  serve.expected_graph_hash = spec.expected_graph_hash;
-  return serve;
-}
 
 }  // namespace
 
@@ -56,13 +46,6 @@ const std::vector<std::string>& MechanismNames() {
 
 Result<std::unique_ptr<Recommender>> MakeRecommender(
     const RecommenderContext& context, const RecommenderSpec& spec) {
-  if (spec.engine != nullptr) {
-    Result<std::unique_ptr<serving::ServeRecommender>> server =
-        serving::MakeServeRecommender(spec.engine, ToServeSpec(spec));
-    if (!server.ok()) return server.status();
-    return std::unique_ptr<Recommender>(new ArtifactBackedRecommender(
-        nullptr, std::move(server).value()));
-  }
   if (spec.mechanism == "Exact") {
     return std::unique_ptr<Recommender>(new ExactRecommender(context));
   }
@@ -102,8 +85,10 @@ Result<std::unique_ptr<Recommender>> MakeArtifactRecommender(
     std::shared_ptr<const serving::ServingEngine> engine,
     const RecommenderSpec& spec) {
   PRIVREC_CHECK(engine != nullptr);
-  Result<std::unique_ptr<serving::ServeRecommender>> server =
-      serving::MakeServeRecommender(engine.get(), ToServeSpec(spec));
+  Result<serving::ServeRecommender> server = serving::MakeServeRecommender(
+      engine.get(), {.mechanism = spec.mechanism,
+                     .epsilon = spec.epsilon,
+                     .expected_graph_hash = spec.expected_graph_hash});
   if (!server.ok()) return server.status();
   return std::unique_ptr<Recommender>(new ArtifactBackedRecommender(
       std::move(engine), std::move(server).value()));

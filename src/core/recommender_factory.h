@@ -4,10 +4,11 @@
 // code free of per-mechanism wiring.
 //
 // Two construction paths behind the same Recommender interface:
-//   - legacy in-memory (MakeRecommender over a RecommenderContext), and
-//   - artifact-backed (spec.engine set, or MakeArtifactRecommender),
-//     which adapts a serving::ServeRecommender over a loaded model
-//     so callers cannot tell the two apart.
+//   - in-memory (MakeRecommender over a RecommenderContext), every
+//     mechanism, and
+//   - artifact-backed (MakeArtifactRecommender), the Cluster mechanism
+//     only: it adapts a serving::ServeRecommender over a loaded model so
+//     callers cannot tell the two apart.
 
 #ifndef PRIVREC_CORE_RECOMMENDER_FACTORY_H_
 #define PRIVREC_CORE_RECOMMENDER_FACTORY_H_
@@ -34,28 +35,24 @@ struct RecommenderSpec {
   // GS group size; LRM target rank.
   int64_t gs_group_size = 128;
   int64_t lrm_target_rank = 200;
-  // Non-null: serve from this loaded artifact instead of the in-memory
-  // context (which MakeRecommender then ignores entirely). The engine
-  // must outlive the recommender.
-  const serving::ServingEngine* engine = nullptr;
-  // Artifact path only: when nonzero the engine's model must carry this
-  // dataset fingerprint (kGraphMismatch otherwise).
+  // MakeArtifactRecommender only: when nonzero the engine's model must
+  // carry this dataset fingerprint (kGraphMismatch otherwise).
   uint64_t expected_graph_hash = 0;
 };
 
 // All constructible mechanism names, paper order.
 const std::vector<std::string>& MechanismNames();
 
-// Builds the requested recommender, or InvalidArgument for unknown names
-// / missing partition. With spec.engine set, builds the artifact-backed
-// serve path instead and may also fail the compatibility gates
-// (kGraphMismatch / kProvenanceMismatch / kFailedPrecondition — see
-// serving::MakeServeRecommender).
+// Builds the requested in-memory recommender, or InvalidArgument for
+// unknown names / missing partition.
 Result<std::unique_ptr<Recommender>> MakeRecommender(
     const RecommenderContext& context, const RecommenderSpec& spec);
 
 // Artifact-backed recommender that co-owns its engine — for callers that
-// load an artifact and have no natural place to keep it alive.
+// load an artifact and have no natural place to keep it alive. Fails the
+// serve path's gates (kInvalidArgument for any mechanism but "Cluster",
+// kGraphMismatch / kProvenanceMismatch — see
+// serving::MakeServeRecommender).
 Result<std::unique_ptr<Recommender>> MakeArtifactRecommender(
     std::shared_ptr<const serving::ServingEngine> engine,
     const RecommenderSpec& spec);

@@ -9,12 +9,6 @@ namespace privrec::loadgen {
 Result<std::unique_ptr<LoadOracle>> LoadOracle::Build(
     const std::vector<std::string>& artifact_paths,
     const serving::ServeSpec& spec) {
-  if (spec.mechanism != "Cluster" && spec.mechanism != "Exact") {
-    return Status::InvalidArgument(
-        "load oracle requires a stateless serve mechanism (Cluster or "
-        "Exact), got " +
-        spec.mechanism);
-  }
   std::unique_ptr<LoadOracle> oracle(new LoadOracle());
   for (const std::string& path : artifact_paths) {
     auto engine = serving::ServingEngine::Load(path);

@@ -9,11 +9,8 @@
 // anything about prefix stability across top_n values — it compares
 // against a ranking computed at exactly the requested depth.
 //
-// Only stateless serve mechanisms ("Cluster", "Exact") can be checked
-// this way: their output is a pure function of (artifact, users, top_n).
-// The fresh-noise baselines advance a per-recommender invocation counter,
-// so their k-th answer depends on call order and no load-time oracle
-// exists for them.
+// The serve path's one mechanism ("Cluster") is a pure function of
+// (artifact, users, top_n), so the oracle can check it this way.
 
 #ifndef PRIVREC_LOADGEN_ORACLE_H_
 #define PRIVREC_LOADGEN_ORACLE_H_
@@ -22,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +32,8 @@ namespace privrec::loadgen {
 class LoadOracle {
  public:
   // Loads every artifact and indexes it by provenance seed. Fails with
-  // kInvalidArgument for a non-stateless mechanism, or with the load
-  // error of the first unreadable artifact.
+  // MakeServeRecommender's error (kInvalidArgument for any mechanism but
+  // "Cluster"), or with the load error of the first unreadable artifact.
   static Result<std::unique_ptr<LoadOracle>> Build(
       const std::vector<std::string>& artifact_paths,
       const serving::ServeSpec& spec);
@@ -57,7 +55,7 @@ class LoadOracle {
  private:
   struct Generation {
     std::unique_ptr<serving::ServingEngine> engine;
-    std::unique_ptr<serving::ServeRecommender> recommender;
+    std::optional<serving::ServeRecommender> recommender;
     // top_n -> expected list per user id (index = NodeId).
     std::map<int64_t, std::vector<core::RecommendationList>> lists;
     // top_n -> expected global-average fallback list.

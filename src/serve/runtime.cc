@@ -1,7 +1,6 @@
 #include "serve/runtime.h"
 
 #include <memory>
-#include <mutex>
 #include <utility>
 
 #include "common/macros.h"
@@ -45,7 +44,7 @@ Status ServeRuntime::Activate(const std::string& path) {
 }
 
 ServeResponse ServeRuntime::Fallback(
-    Status status, const std::shared_ptr<EpochSnapshot>& epoch,
+    Status status, const std::shared_ptr<const EpochSnapshot>& epoch,
     const ServeRequest& request, int64_t retry_after_ms) {
   ServeResponse response;
   response.status = std::move(status);
@@ -55,7 +54,7 @@ ServeResponse ServeRuntime::Fallback(
   if (!options_.degraded_fallback) return response;
 
   // The global-average row is a pure function of the frozen release, so
-  // the fallback tier needs neither admission nor the serve mutex.
+  // the fallback tier needs no admission.
   const std::vector<double>& row = epoch->engine.global_average();
   core::RecommendationList list = core::TopNFromDense(row, request.top_n);
   response.batch.lists.assign(request.users.size(), list);
@@ -67,21 +66,6 @@ ServeResponse ServeRuntime::Fallback(
   response.degraded_fallback = true;
   FallbackCounter().Increment();
   return response;
-}
-
-void ServeRuntime::ServeFromEpoch(
-    const std::shared_ptr<EpochSnapshot>& epoch, const ServeRequest& request,
-    ServeResponse* response) {
-  if (epoch->recommender->ConcurrentSafe()) {
-    response->batch =
-        epoch->recommender->Recommend(request.users, request.top_n);
-    return;
-  }
-  // Fresh-noise mechanisms consume their RNG stream per invocation and
-  // must see exactly one call per request, serialized.
-  std::lock_guard<std::mutex> lock(epoch->serve_mu);
-  response->batch =
-      epoch->recommender->Recommend(request.users, request.top_n);
 }
 
 void ServeRuntime::EmitTelemetry(obs::RequestTelemetry& event,
@@ -114,7 +98,7 @@ ServeResponse ServeRuntime::Handle(const ServeRequest& request) {
 
   // Pin the epoch for the whole request: a concurrent swap cannot change
   // what this batch is served from, and the snapshot outlives the swap.
-  std::shared_ptr<EpochSnapshot> epoch = swapper_.AcquireMutable();
+  std::shared_ptr<const EpochSnapshot> epoch = swapper_.Acquire();
   if (epoch == nullptr) {
     ServeResponse response;
     response.status =
@@ -160,7 +144,7 @@ ServeResponse ServeRuntime::Handle(const ServeRequest& request) {
     return fallback;
   }
 
-  ServeFromEpoch(epoch, request, &response);
+  response.batch = epoch->recommender->Recommend(request.users, request.top_n);
   ticket->Release();
 
   const int64_t end_ms = clock_->NowMs();
@@ -185,7 +169,7 @@ AsyncServe ServeRuntime::BeginAsync(const ServeRequest& request,
   op.telemetry.top_n = request.top_n;
   op.telemetry.deadline_ms = request.deadline_ms;
 
-  op.epoch = swapper_.AcquireMutable();
+  op.epoch = swapper_.Acquire();
   if (op.epoch == nullptr) {
     op.response.status =
         Status::FailedPrecondition("no artifact activated yet");
@@ -260,7 +244,8 @@ ServeResponse ServeRuntime::FinishAsync(AsyncServe& op) {
   PRIVREC_CHECK_MSG(op.admitted,
                     "FinishAsync on an operation that is still queued");
   const int64_t serve_start_ms = clock_->NowMs();
-  ServeFromEpoch(op.epoch, op.request, &op.response);
+  op.response.batch =
+      op.epoch->recommender->Recommend(op.request.users, op.request.top_n);
   op.ticket.Release();
   const int64_t end_ms = clock_->NowMs();
   op.telemetry.reconstruct_ms =

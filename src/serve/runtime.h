@@ -102,7 +102,7 @@ struct AsyncServe {
   // recorded at FinishAsync is measured from here, so queue wait is
   // charged to the request (coordinated-omission-safe accounting).
   int64_t arrival_ms = 0;
-  std::shared_ptr<EpochSnapshot> epoch;
+  std::shared_ptr<const EpochSnapshot> epoch;
   std::optional<PendingAdmit> pending;
   AdmissionTicket ticket;
   ServeResponse response;
@@ -180,14 +180,9 @@ class ServeRuntime {
     return next_request_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
   ServeResponse Fallback(Status status,
-                         const std::shared_ptr<EpochSnapshot>& epoch,
+                         const std::shared_ptr<const EpochSnapshot>& epoch,
                          const ServeRequest& request,
                          int64_t retry_after_ms);
-  // The one reconstruction call of a request: a single Recommend on the
-  // pinned epoch, serialized on its serve_mu only for the fresh-noise
-  // (non-ConcurrentSafe) mechanisms.
-  void ServeFromEpoch(const std::shared_ptr<EpochSnapshot>& epoch,
-                      const ServeRequest& request, ServeResponse* response);
   // Finalizes and hands the wide event to the telemetry sink (no-op when
   // no sink is configured).
   void EmitTelemetry(obs::RequestTelemetry& event,

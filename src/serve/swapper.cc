@@ -38,11 +38,6 @@ std::shared_ptr<const EpochSnapshot> ArtifactSwapper::Acquire() const {
   return current_;
 }
 
-std::shared_ptr<EpochSnapshot> ArtifactSwapper::AcquireMutable() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_;
-}
-
 int64_t ArtifactSwapper::current_epoch() const {
   return epoch_.load(std::memory_order_relaxed);
 }
@@ -62,9 +57,9 @@ Status ArtifactSwapper::RecordRollback(Status status) {
   return status;
 }
 
-Status ArtifactSwapper::ProbeCandidate(EpochSnapshot* candidate) const {
+Status ArtifactSwapper::ProbeCandidate(const EpochSnapshot& candidate) const {
   if (policy_.probe_users <= 0) return Status::Ok();
-  const int64_t num_users = candidate->engine.num_users();
+  const int64_t num_users = candidate.engine.num_users();
   std::vector<graph::NodeId> probe;
   for (int64_t u = 0; u < std::min(policy_.probe_users, num_users); ++u) {
     probe.push_back(u);
@@ -72,7 +67,7 @@ Status ArtifactSwapper::ProbeCandidate(EpochSnapshot* candidate) const {
   if (probe.empty()) return Status::Ok();
 
   core::RecommendedBatch batch =
-      candidate->recommender->Recommend(probe, policy_.probe_top_n);
+      candidate.recommender->Recommend(probe, policy_.probe_top_n);
   if (batch.lists.size() != probe.size() ||
       batch.degradation.size() != probe.size()) {
     return Status::FailedPrecondition(
@@ -84,7 +79,7 @@ Status ArtifactSwapper::ProbeCandidate(EpochSnapshot* candidate) const {
           "self-check probe: list longer than top_n");
     }
     for (const core::Recommendation& r : list) {
-      if (r.item < 0 || r.item >= candidate->engine.num_items() ||
+      if (r.item < 0 || r.item >= candidate.engine.num_items() ||
           !std::isfinite(r.utility)) {
         return Status::FailedPrecondition(
             "self-check probe: non-finite or out-of-range recommendation "
@@ -122,14 +117,14 @@ Status ArtifactSwapper::Activate(const std::string& path) {
   if (policy_.adopt_artifact_epsilon) {
     spec.epsilon = candidate->epsilon;
   }
-  Result<std::unique_ptr<serving::ServeRecommender>> recommender =
+  Result<serving::ServeRecommender> recommender =
       serving::MakeServeRecommender(&candidate->engine, spec);
   if (!recommender.ok()) return RecordRollback(recommender.status());
   candidate->recommender = std::move(*recommender);
 
   // 3. Self-check probe: a candidate that decodes and gates cleanly but
   // would serve garbage is rejected here, before any request can see it.
-  Status probed = ProbeCandidate(candidate.get());
+  Status probed = ProbeCandidate(*candidate);
   if (!probed.ok()) return RecordRollback(std::move(probed));
 
   // 4. Publish. In-flight requests holding the old shared_ptr finish on

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,10 +43,8 @@ namespace privrec::serve {
 struct EpochSnapshot {
   int64_t epoch = 0;
   serving::ServingEngine engine;
-  std::unique_ptr<serving::ServeRecommender> recommender;
-  // Serializes Recommend for mechanisms whose serve state mutates per call
-  // (fresh-noise baselines); unused when recommender->ConcurrentSafe().
-  std::mutex serve_mu;
+  // Set before publication; reads `engine` only.
+  std::optional<serving::ServeRecommender> recommender;
   // Provenance identity of the artifact this epoch serves — lets callers
   // (and the chaos soak) attribute a response to its generation.
   uint64_t artifact_seed = 0;
@@ -53,7 +52,7 @@ struct EpochSnapshot {
 };
 
 struct SwapPolicy {
-  // Mechanism + gates for MakeServeRecommender. expected_graph_hash == 0
+  // Gates for MakeServeRecommender. expected_graph_hash == 0
   // defers to pin_graph_hash below.
   serving::ServeSpec spec;
   // With spec.expected_graph_hash == 0: once a first artifact is live,
@@ -89,10 +88,6 @@ class ArtifactSwapper {
   // across concurrent swaps.
   std::shared_ptr<const EpochSnapshot> Acquire() const;
 
-  // Like Acquire but non-const, for callers that must serialize stateful
-  // recommenders via serve_mu.
-  std::shared_ptr<EpochSnapshot> AcquireMutable() const;
-
   int64_t current_epoch() const;
   int64_t swaps() const { return swaps_.load(std::memory_order_relaxed); }
   int64_t rollbacks() const {
@@ -104,13 +99,13 @@ class ArtifactSwapper {
   const SwapPolicy& policy() const { return policy_; }
 
  private:
-  Status ProbeCandidate(EpochSnapshot* candidate) const;
+  Status ProbeCandidate(const EpochSnapshot& candidate) const;
   Status RecordRollback(Status status);
 
   SwapPolicy policy_;
 
   mutable std::mutex mu_;  // guards current_ and last_error_
-  std::shared_ptr<EpochSnapshot> current_;
+  std::shared_ptr<const EpochSnapshot> current_;
   std::string last_error_;
   std::atomic<int64_t> swaps_{0};
   std::atomic<int64_t> rollbacks_{0};

@@ -1,15 +1,18 @@
 // Tests for the two-phase build/serve split: save/load round-trip
-// bit-identity for every mechanism at every thread count, byte-determinism
-// of the saved artifact, the compatibility gates (graph / ε-provenance /
-// missing sections, each with its own status code), truncation and fault
-// robustness, and the privacy isolation of the serving layer. The on-disk
+// bit-identity of the served mechanism at every thread count,
+// byte-determinism of the saved artifact, the compatibility gates (graph /
+// ε-provenance / retired mechanisms, each with its own status code),
+// truncation and fault robustness, and the privacy isolation of the
+// serving layer. The on-disk
 // layout's own corruption and version checks live in
 // sharded_artifact_test.
 
 // The isolation guarantee, checked at the include level: the serving
 // headers are included FIRST, and must not (transitively) pull in the
-// private graph containers. The CMake side of the same guarantee forbids
-// privrec_serving from linking privrec_graph.
+// private graph containers or the DP noise mechanisms — serving is
+// post-processing of a release whose noise is frozen. The CMake side of
+// the same guarantee forbids privrec_serving from linking privrec_graph
+// or privrec_dp.
 #include "artifact/model.h"
 #include "artifact/model_io.h"
 #include "artifact/reconstruct.h"
@@ -18,6 +21,9 @@
 #if defined(PRIVREC_GRAPH_PREFERENCE_GRAPH_H_) || \
     defined(PRIVREC_GRAPH_SOCIAL_GRAPH_H_)
 #error "serving headers must not include the private graph containers"
+#endif
+#if defined(PRIVREC_DP_MECHANISMS_H_)
+#error "serving headers must not include the DP noise mechanisms"
 #endif
 
 #include <cstdint>
@@ -108,7 +114,7 @@ class ArtifactTest : public ::testing::Test {
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
     auto server = serving::MakeServeRecommender(&*engine, spec);
     EXPECT_TRUE(server.ok()) << server.status().ToString();
-    return (*server)->Recommend(users_, kTopN).lists;
+    return server->Recommend(users_, kTopN).lists;
   }
 
   static constexpr int64_t kTopN = 10;
@@ -164,58 +170,6 @@ TEST_F(ArtifactTest, ClusterRoundTripBitIdentityAcrossThreadCounts) {
   }
 }
 
-// The reference baselines draw fresh noise at serve time: the k-th call of
-// a served artifact must equal the k-th call of a fresh in-memory
-// recommender with the same seed.
-TEST_F(ArtifactTest, BaselinesRoundTripBitIdentityAcrossThreadCounts) {
-  artifact::ModelArtifactBuilder builder = MakeBuilder();
-  artifact::BuildOptions build_options;
-  build_options.epsilon = kEps;
-  build_options.seed = kSeed;
-  build_options.include_reference_sections = true;
-  build_options.include_lowrank = true;
-  build_options.lrm_target_rank = 16;
-  build_options.lrm_seed = kSeed;
-  auto model = builder.Build(build_options);
-  ASSERT_TRUE(model.ok()) << model.status().ToString();
-  const std::string path = Path("full.pvram");
-  ASSERT_TRUE(serving::SaveArtifact(*model, path).ok());
-
-  for (const char* mechanism : {"Exact", "NOU", "NOE", "GS", "LRM"}) {
-    // Reference: two successive calls at one thread.
-    std::vector<std::vector<RecommendationList>> reference;
-    core::RecommenderSpec mem_spec;
-    mem_spec.mechanism = mechanism;
-    mem_spec.epsilon = kEps;
-    mem_spec.seed = kSeed;
-    mem_spec.gs_group_size = 8;
-    mem_spec.lrm_target_rank = 16;
-    {
-      ScopedThreadCount baseline(1);
-      auto rec = core::MakeRecommender(context_, mem_spec);
-      ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-      reference.push_back((*rec)->Recommend(users_, kTopN));
-      reference.push_back((*rec)->Recommend(users_, kTopN));
-    }
-    for (int64_t threads : {int64_t{1}, int64_t{2}, HardwareThreads()}) {
-      ScopedThreadCount scoped(threads);
-      auto engine = serving::ServingEngine::Load(path);
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      serving::ServeSpec spec;
-      spec.mechanism = mechanism;
-      spec.epsilon = kEps;
-      spec.seed = kSeed;
-      spec.gs_group_size = 8;
-      auto server = serving::MakeServeRecommender(&*engine, spec);
-      ASSERT_TRUE(server.ok()) << server.status().ToString();
-      EXPECT_EQ((*server)->Recommend(users_, kTopN).lists, reference[0])
-          << mechanism << " threads=" << threads;
-      EXPECT_EQ((*server)->Recommend(users_, kTopN).lists, reference[1])
-          << mechanism << " threads=" << threads;
-    }
-  }
-}
-
 // Two independent builders with identical options must emit identical
 // bytes, even at different thread counts — artifacts are reproducible
 // build products (no timestamps, deterministic noise). The manifest names
@@ -225,8 +179,6 @@ TEST_F(ArtifactTest, SavedBytesAreDeterministicAcrossThreadCounts) {
   artifact::BuildOptions build_options;
   build_options.epsilon = kEps;
   build_options.seed = kSeed;
-  build_options.include_lowrank = true;
-  build_options.lrm_target_rank = 8;
 
   std::string first;
   for (int64_t threads : {int64_t{1}, int64_t{2}, HardwareThreads()}) {
@@ -287,12 +239,23 @@ TEST_F(ArtifactTest, EpsilonGateRefusesForeignProvenance) {
       << server.status().ToString();
 }
 
-TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
+// The serve path serves one mechanism. The baselines read the private
+// preference graph, so they are in-memory evaluators only: naming one at
+// the serve path, or asking the builder for the preference sections they
+// needed, is a bad argument — for an in-memory model and a saved-then-
+// mapped artifact alike.
+TEST_F(ArtifactTest, RetiredMechanismsAreInvalidArguments) {
   artifact::ModelArtifactBuilder builder = MakeBuilder();
   artifact::BuildOptions build_options;
   build_options.epsilon = kEps;
   build_options.seed = kSeed;
-  build_options.include_reference_sections = false;  // production shape
+  build_options.include_reference_sections = true;
+  auto refused = builder.Build(build_options);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument)
+      << refused.status().ToString();
+
+  build_options.include_reference_sections = false;
   auto model = builder.Build(build_options);
   ASSERT_TRUE(model.ok());
   const std::string path = Path("prod.pvram");
@@ -302,29 +265,20 @@ TEST_F(ArtifactTest, MissingSectionsAreFailedPreconditions) {
   auto loaded = serving::ServingEngine::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
-  // The gates read the engine's section flags, so they hold the same for
-  // an in-memory model and for the saved-then-mapped artifact.
   for (const serving::ServingEngine* engine : {&*in_memory, &*loaded}) {
-    for (const char* needs_preferences : {"Exact", "NOU", "NOE", "GS"}) {
+    for (const char* retired :
+         {"Exact", "NOU", "NOE", "GS", "LRM", "Oracle"}) {
       serving::ServeSpec spec;
-      spec.mechanism = needs_preferences;
+      spec.mechanism = retired;
       spec.epsilon = kEps;
       auto server = serving::MakeServeRecommender(engine, spec);
-      ASSERT_FALSE(server.ok()) << needs_preferences;
-      EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition)
-          << needs_preferences;
+      ASSERT_FALSE(server.ok()) << retired;
+      EXPECT_EQ(server.status().code(), StatusCode::kInvalidArgument)
+          << retired;
     }
-    serving::ServeSpec lrm;
-    lrm.mechanism = "LRM";
-    lrm.epsilon = kEps;
-    auto server = serving::MakeServeRecommender(engine, lrm);
-    ASSERT_FALSE(server.ok());
-    EXPECT_EQ(server.status().code(), StatusCode::kFailedPrecondition);
-
-    serving::ServeSpec unknown;
-    unknown.mechanism = "Oracle";
-    EXPECT_EQ(serving::MakeServeRecommender(engine, unknown).status().code(),
-              StatusCode::kInvalidArgument);
+    serving::ServeSpec cluster;
+    cluster.epsilon = kEps;
+    EXPECT_TRUE(serving::MakeServeRecommender(engine, cluster).ok());
   }
 }
 
@@ -424,18 +378,10 @@ TEST_F(ArtifactTest, FactoryServesFromAnEngineBehindTheSameInterface) {
   spec.seed = kSeed;
   spec.expected_graph_hash = builder.graph_hash();
 
-  // Non-owning path through MakeRecommender (context ignored)...
-  spec.engine = shared.get();
-  auto rec = core::MakeRecommender(context_, spec);
+  auto rec = core::MakeArtifactRecommender(shared, spec);
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_EQ((*rec)->Name(), "Cluster");
   EXPECT_EQ((*rec)->Recommend(users_, kTopN), reference);
-
-  // ...and the engine-owning variant.
-  spec.engine = nullptr;
-  auto owning = core::MakeArtifactRecommender(shared, spec);
-  ASSERT_TRUE(owning.ok()) << owning.status().ToString();
-  EXPECT_EQ((*owning)->Recommend(users_, kTopN), reference);
 }
 
 // ---------------------------------------------------------------- dynamic

@@ -495,14 +495,19 @@ TEST_F(LoadHarnessTest, OracleFlagsTamperedAndForeignResponses) {
   EXPECT_NE((*oracle)->Check(request, foreign), "");
 }
 
-TEST_F(LoadHarnessTest, OracleRejectsStatefulMechanisms) {
+// The serve path serves only "Cluster", so the oracle checks nothing
+// else: a retired baseline or an unknown name is a bad argument.
+TEST_F(LoadHarnessTest, OracleRejectsMechanismsOtherThanCluster) {
   const std::string path = BuildArtifact("a.pvram", 101);
-  serving::ServeSpec fresh;
-  fresh.mechanism = "ClusterFresh";
-  fresh.epsilon = kEps;
-  auto oracle = LoadOracle::Build({path}, fresh);
-  EXPECT_FALSE(oracle.ok());
-  EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument);
+  for (const char* mechanism : {"ClusterFresh", "Exact"}) {
+    serving::ServeSpec spec;
+    spec.mechanism = mechanism;
+    spec.epsilon = kEps;
+    auto oracle = LoadOracle::Build({path}, spec);
+    EXPECT_FALSE(oracle.ok()) << mechanism;
+    EXPECT_EQ(oracle.status().code(), StatusCode::kInvalidArgument)
+        << mechanism;
+  }
 }
 
 // ------------------------------------------------------------ report

@@ -121,7 +121,7 @@ TEST(ServeChaosSoak, HotSwapsUnderFaultsAndConcurrentRequests) {
     auto server = serving::MakeServeRecommender(&*engine, spec);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     Expectation e;
-    e.lists = (*server)->Recommend(users, kTopN).lists;
+    e.lists = server->Recommend(users, kTopN).lists;
     e.fallback = core::TopNFromDense(engine->global_average(), kTopN);
     expected[engine->model().provenance.seed] = std::move(e);
   }
@@ -355,7 +355,7 @@ TEST(ServeChaosSoak, ShardedHotSwapsWithCorruptShards) {
     auto server = serving::MakeServeRecommender(&*engine, spec);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     Expectation e;
-    e.lists = (*server)->Recommend(users, kTopN).lists;
+    e.lists = server->Recommend(users, kTopN).lists;
     e.fallback = core::TopNFromDense(engine->global_average(), kTopN);
     expected[engine->model().provenance.seed] = std::move(e);
   }

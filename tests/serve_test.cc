@@ -467,7 +467,7 @@ TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
   EXPECT_EQ(swapper.swaps(), 1);
   EXPECT_EQ(swapper.rollbacks(), 0);
 
-  auto epoch = swapper.AcquireMutable();
+  auto epoch = swapper.Acquire();
   ASSERT_NE(epoch, nullptr);
   EXPECT_EQ(epoch->epoch, 1);
   core::RecommendedBatch batch = epoch->recommender->Recommend(users_, 10);
@@ -479,7 +479,7 @@ TEST_F(ServeSwapTest, ActivatePublishesEpochAndServes) {
   auto server = serving::MakeServeRecommender(&*engine,
                                               ClusterPolicy(kEps).spec);
   ASSERT_TRUE(server.ok());
-  EXPECT_EQ((*server)->Recommend(users_, 10).lists, batch.lists);
+  EXPECT_EQ(server->Recommend(users_, 10).lists, batch.lists);
   EXPECT_EQ(epoch->artifact_seed, 11u);
 }
 
@@ -507,7 +507,7 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
   ASSERT_TRUE(swapper.Activate(good).ok());
   auto before = swapper.Acquire();
   core::RecommendedBatch reference =
-      swapper.AcquireMutable()->recommender->Recommend(users_, 10);
+      swapper.Acquire()->recommender->Recommend(users_, 10);
 
   Status swapped = swapper.Activate(bad);
   EXPECT_FALSE(swapped.ok());
@@ -519,7 +519,7 @@ TEST_F(ServeSwapTest, CorruptArtifactRollsBackAndKeepsServing) {
   }
 
   // The published epoch is untouched and still serves identically.
-  auto after = swapper.AcquireMutable();
+  auto after = swapper.Acquire();
   EXPECT_EQ(after->epoch, 1);
   EXPECT_EQ(after->recommender->Recommend(users_, 10).lists,
             reference.lists);
@@ -580,7 +580,7 @@ TEST_F(ServeSwapTest, InFlightEpochSurvivesSwap) {
   ArtifactSwapper swapper(ClusterPolicy(kEps));
   ASSERT_TRUE(swapper.Activate(a).ok());
 
-  auto held = swapper.AcquireMutable();
+  auto held = swapper.Acquire();
   core::RecommendedBatch before = held->recommender->Recommend(users_, 10);
 
   ASSERT_TRUE(swapper.Activate(b).ok());
@@ -870,7 +870,7 @@ TEST(ServeIsolatedUserTest, FallbackRankingStableAcrossHotSwap) {
             DegradationReason::kIsolatedUser);
 
   // "During": a request that pinned epoch 1 and completes after the swap.
-  auto held = runtime.swapper().AcquireMutable();
+  auto held = runtime.swapper().Acquire();
   ASSERT_TRUE(runtime.Activate(b).ok());
   core::RecommendedBatch during = held->recommender->Recommend({4}, 3);
 

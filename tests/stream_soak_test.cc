@@ -210,7 +210,7 @@ TEST(StreamSoak, ChurnCrashRepublishSwapUnderConcurrentRequests) {
       return true;
     }
     Expectation e;
-    e.lists = (*server)->Recommend(probe_users, kTopN).lists;
+    e.lists = server->Recommend(probe_users, kTopN).lists;
     e.fallback = core::TopNFromDense(engine->global_average(), kTopN);
     // The release the session emitted and what the artifact serves must be
     // the same bits — the artifact IS the release.
